@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels underneath the
 // algorithms: pairwise distances, Jacobi eigendecomposition, one-sided
-// Jacobi SVD, a Lloyd iteration, dense-unit mining and kernel matrices.
+// Jacobi SVD, a Lloyd iteration, dense-unit mining, kernel matrices and
+// the batched silhouette pass.
 //
 // The harness flags (--json=PATH, --quick) are consumed before
 // benchmark::Initialize, so the usual --benchmark_* flags still work.
@@ -15,11 +16,13 @@
 
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "harness.h"
 #include "linalg/decomposition.h"
 #include "linalg/kernels.h"
+#include "metrics/clustering_quality.h"
 #include "stats/grid.h"
 #include "stats/hsic.h"
 
@@ -99,6 +102,42 @@ void BM_GaussianKernelMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianKernelMatrix)->Range(64, 512);
+
+// Silhouette at the discovery-job shape (n = 2000, d = 6): a batch of 1
+// labeling (the objective stage) or of the 5 k-means labelings k = 2..6
+// (model selection), at 1 thread and at 4. Args: {batch, threads}.
+void BM_Silhouette(benchmark::State& state) {
+  static const Matrix data = RandomMatrix(2000, 6, 7);
+  static const std::vector<std::vector<int>> candidates = [] {
+    std::vector<std::vector<int>> out;
+    for (size_t k = 2; k <= 6; ++k) {
+      KMeansOptions opts;
+      opts.k = k;
+      opts.restarts = 1;
+      opts.seed = k;
+      out.push_back(RunKMeans(data, opts).value().labels);
+    }
+    return out;
+  }();
+  const std::vector<std::vector<int>> batch(
+      candidates.begin(), candidates.begin() + state.range(0));
+  SetThreadCount(static_cast<size_t>(state.range(1)));
+  for (auto _ : state) {
+    if (batch.size() == 1) {
+      benchmark::DoNotOptimize(Silhouette(data, batch[0]));
+    } else {
+      benchmark::DoNotOptimize(SilhouetteBatch(data, batch));
+    }
+  }
+  SetThreadCount(0);
+}
+BENCHMARK(BM_Silhouette)
+    ->Args({1, 1})
+    ->Args({5, 1})
+    ->Args({1, 4})
+    ->Args({5, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 double TimeUnitToMs(benchmark::TimeUnit unit) {
   switch (unit) {
@@ -308,11 +347,11 @@ int main(int argc, char** argv) {
 
   RecordKernelGflops(&h, h.quick());
 
-  // 2+3+3+1+3+2 registered (name, size) combinations — a registration
+  // 2+3+3+1+3+2+4 registered (name, size) combinations — a registration
   // that silently disappears should fail the diff, not just shrink it.
   h.Scalar("benchmarks_recorded", static_cast<double>(reporter.recorded()));
   h.Check("all_microbenchmarks_ran",
-          reporter.recorded() == 14 && reporter.errors() == 0,
-          "all 14 registered micro-benchmark cases must run without error");
+          reporter.recorded() == 18 && reporter.errors() == 0,
+          "all 18 registered micro-benchmark cases must run without error");
   return h.Finish();
 }

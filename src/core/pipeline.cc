@@ -24,19 +24,25 @@ Result<size_t> SelectKBySilhouette(const Matrix& data, size_t max_k,
     return Status::InvalidArgument("SelectKBySilhouette: max_k must be >= 2");
   }
   MULTICLUST_TRACE_SPAN("pipeline.select_k");
-  size_t best_k = 2;
-  double best_score = -2.0;
+  // Every candidate's k-means first, then one batched silhouette pass:
+  // the distances are computed once for all candidates.
+  std::vector<std::vector<int>> labelings;  // labelings[t] has k = t + 2
   for (size_t k = 2; k <= max_k && k < data.rows(); ++k) {
     KMeansOptions opts;
     opts.k = k;
     opts.restarts = 5;
     opts.seed = seed + k;
     MC_ASSIGN_OR_RETURN(Clustering c, RunKMeans(data, opts));
-    auto sil = Silhouette(data, c.labels);
-    if (!sil.ok()) continue;
-    if (*sil > best_score) {
-      best_score = *sil;
-      best_k = k;
+    labelings.push_back(std::move(c.labels));
+  }
+  const std::vector<Result<double>> scores = SilhouetteBatch(data, labelings);
+  size_t best_k = 2;
+  double best_score = -2.0;
+  for (size_t t = 0; t < scores.size(); ++t) {
+    if (!scores[t].ok()) continue;
+    if (*scores[t] > best_score) {
+      best_score = *scores[t];
+      best_k = t + 2;
     }
   }
   return best_k;
@@ -582,8 +588,17 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
   {
     MULTICLUST_TRACE_SPAN("pipeline.dedup");
     telemetry::EmitStage("pipeline.dedup", "start");
-    MC_RETURN_IF_ERROR(
-        report.solutions.Deduplicate(options.min_dissimilarity).status());
+    MC_ASSIGN_OR_RETURN(
+        const size_t dropped,
+        report.solutions.Deduplicate(options.min_dissimilarity));
+    if (report.solutions.size() < options.num_solutions) {
+      report.warnings.push_back(
+          "pipeline: returning " + std::to_string(report.solutions.size()) +
+          " of " + std::to_string(options.num_solutions) +
+          " requested solutions (dedup dropped " + std::to_string(dropped) +
+          ")");
+      report.degraded = true;
+    }
     telemetry::EmitStage("pipeline.dedup", "end");
   }
   MULTICLUST_TRACE_SPAN("pipeline.objective");

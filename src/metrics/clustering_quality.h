@@ -17,11 +17,20 @@ namespace multiclust {
 Result<double> SumSquaredError(const Matrix& data,
                                const std::vector<int>& labels);
 
-/// Mean silhouette coefficient in [-1, 1] (higher is better). O(n^2).
+/// Mean silhouette coefficient in [-1, 1] (higher is better). O(n^2 d),
+/// parallel over objects; the value is bit-identical at every thread count.
 Result<double> Silhouette(const Matrix& data, const std::vector<int>& labels);
 
+/// Silhouette of every labeling in `labelings` from one shared pass over
+/// the pairwise distances: entry b equals Silhouette(data, labelings[b])
+/// bit for bit, errors included. Scoring B candidate clusterings this way
+/// computes the O(n^2 d) distances once instead of B times.
+std::vector<Result<double>> SilhouetteBatch(
+    const Matrix& data, const std::vector<std::vector<int>>& labelings);
+
 /// Dunn index: min inter-cluster distance / max intra-cluster diameter
-/// (higher is better). O(n^2).
+/// (higher is better). O(n^2 d), parallel over objects, bit-identical at
+/// every thread count.
 Result<double> DunnIndex(const Matrix& data, const std::vector<int>& labels);
 
 /// Cluster means for a labeling (rows = dense-relabeled clusters).

@@ -364,6 +364,32 @@ TEST(ThreadInvarianceTest, EnclusSubspaces) {
   }
 }
 
+TEST(ThreadInvarianceTest, PipelineDefaultK) {
+  // k = 0: model selection scores every candidate k with one batched,
+  // parallel silhouette pass, and the objective scores each solution the
+  // same way. Both must leave the run bit-identical across pool sizes.
+  const Matrix data = MakeCustomerScenario(300, 7)->data();
+  DiscoveryOptions opts;
+  opts.strategy = DiscoveryStrategy::kDecorrelatedKMeans;
+  opts.num_solutions = 2;
+  opts.k = 0;
+  opts.seed = 7;
+  const auto run = [&] {
+    return DiscoverMultipleClusterings(data, opts).value();
+  };
+  const DiscoveryReport serial = WithThreads(1, run);
+  const DiscoveryReport parallel = WithThreads(4, run);
+  EXPECT_EQ(serial.chosen_k, parallel.chosen_k);
+  EXPECT_EQ(serial.solutions.Labels(), parallel.solutions.Labels());
+  EXPECT_EQ(serial.objective.qualities, parallel.objective.qualities);
+  EXPECT_EQ(serial.objective.mean_quality, parallel.objective.mean_quality);
+  EXPECT_EQ(serial.objective.mean_dissimilarity,
+            parallel.objective.mean_dissimilarity);
+  EXPECT_EQ(serial.objective.combined, parallel.objective.combined);
+  EXPECT_EQ(serial.degraded, parallel.degraded);
+  EXPECT_EQ(serial.warnings, parallel.warnings);
+}
+
 // Field-by-field trace comparison. budget_remaining_ms is wall-clock
 // dependent and deliberately excluded.
 void ExpectSameTrace(const ConvergenceTrace& a, const ConvergenceTrace& b) {

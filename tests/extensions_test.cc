@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "altspace/cib.h"
 #include "altspace/disparate.h"
@@ -483,6 +484,41 @@ TEST(PipelineTest, AllStrategiesRun) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GE(r->solutions.size(), 1u);
     EXPECT_FALSE(r->strategy_name.empty());
+  }
+}
+
+TEST(PipelineTest, DedupShortfallIsDegraded) {
+  // Customer scenario, seed 7, default path: dedup drops one of the two
+  // dec-kmeans solutions as a near-duplicate. Returning fewer solutions
+  // than requested is a degraded result and must say so.
+  auto ds = MakeCustomerScenario(300, 7);
+  ASSERT_TRUE(ds.ok());
+  DiscoveryOptions opts;
+  opts.strategy = DiscoveryStrategy::kDecorrelatedKMeans;
+  opts.num_solutions = 2;
+  opts.k = 0;
+  opts.seed = 7;
+  auto r = DiscoverMultipleClusterings(ds->data(), opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->solutions.size(), 1u);
+  EXPECT_TRUE(r->degraded);
+  bool named = false;
+  for (const std::string& w : r->warnings) {
+    if (w.find("returning 1 of 2 requested solutions") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named) << "no shortfall warning";
+
+  // A full solution set (seed 1) carries no shortfall warning.
+  auto ds1 = MakeCustomerScenario(300, 1);
+  ASSERT_TRUE(ds1.ok());
+  opts.seed = 1;
+  auto full = DiscoverMultipleClusterings(ds1->data(), opts);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->solutions.size(), 2u);
+  for (const std::string& w : full->warnings) {
+    EXPECT_EQ(w.find("requested solutions"), std::string::npos) << w;
   }
 }
 

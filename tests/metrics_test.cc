@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/parallel.h"
+#include "common/profile.h"
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "metrics/clustering_quality.h"
 #include "metrics/multi_solution.h"
 #include "metrics/partition_similarity.h"
+#include "support/quality_ref.h"
 
 namespace multiclust {
 namespace {
@@ -251,6 +257,143 @@ TEST(DunnTest, SeparationRaisesDunn) {
   const std::vector<int> labels = {0, 0, 1, 1};
   EXPECT_GT(DunnIndex(tight, labels).value(),
             DunnIndex(loose, labels).value());
+}
+
+// --- The parallel distance-row pass against the serial oracle ----------
+//
+// Silhouette and DunnIndex must equal the serial double loops in
+// support/quality_ref.h bit for bit at every thread count, so these
+// compare doubles with EXPECT_EQ on purpose.
+
+// Three blobs in 5 dimensions; 301 objects, so the last row block and the
+// last parallel chunk are both partial.
+Matrix OracleData() {
+  Rng rng(11);
+  Matrix data(301, 5);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    const double shift = 4.0 * static_cast<double>(i % 3);
+    for (size_t c = 0; c < data.cols(); ++c) {
+      data.at(i, c) = rng.Gaussian(c == 0 ? shift : 0.0, 1.0);
+    }
+  }
+  return data;
+}
+
+// Labelings covering the special cases: plain, noise (-1), a singleton
+// cluster, non-contiguous label ids and an unstructured random labeling.
+std::vector<std::vector<int>> OracleLabelings(size_t n) {
+  Rng rng(12);
+  std::vector<int> plain(n), noisy(n), singleton(n), sparse_ids(n), random(n);
+  for (size_t i = 0; i < n; ++i) {
+    plain[i] = static_cast<int>(i % 3);
+    noisy[i] = i % 7 == 0 ? -1 : plain[i];
+    singleton[i] = i == 150 ? 3 : plain[i];
+    sparse_ids[i] = plain[i] == 0 ? 42 : (plain[i] == 1 ? 5 : 17);
+    random[i] = static_cast<int>(rng.NextIndex(4));
+  }
+  return {plain, noisy, singleton, sparse_ids, random};
+}
+
+void ExpectSameResult(const Result<double>& got, const Result<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what << ": " << got.status().ToString();
+  if (want.ok()) {
+    EXPECT_EQ(*got, *want) << what;
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+  }
+}
+
+TEST(SilhouetteOracleTest, BitIdenticalToSerialAtEveryThreadCount) {
+  const Matrix data = OracleData();
+  const std::vector<std::vector<int>> labelings =
+      OracleLabelings(data.rows());
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SetThreadCount(threads);
+    for (size_t b = 0; b < labelings.size(); ++b) {
+      ExpectSameResult(Silhouette(data, labelings[b]),
+                       test::RefSilhouette(data, labelings[b]),
+                       "labeling " + std::to_string(b) + " threads " +
+                           std::to_string(threads));
+    }
+  }
+  SetThreadCount(0);
+}
+
+TEST(SilhouetteOracleTest, ErrorsMatchSerial) {
+  const Matrix data = OracleData();
+  const std::vector<int> one_cluster(data.rows(), 4);
+  const std::vector<int> short_labels(data.rows() - 1, 0);
+  const std::vector<int> all_noise(data.rows(), -1);
+  // Two clusters, both singletons: every object is skipped.
+  const Matrix pair = Matrix::FromRows({{0.0}, {1.0}});
+  const std::vector<std::pair<const Matrix*, std::vector<int>>> cases = {
+      {&data, one_cluster},
+      {&data, short_labels},
+      {&data, all_noise},
+      {&pair, {0, 1}},
+  };
+  for (size_t t = 0; t < cases.size(); ++t) {
+    const Result<double> got = Silhouette(*cases[t].first, cases[t].second);
+    EXPECT_FALSE(got.ok()) << "case " << t;
+    ExpectSameResult(got,
+                     test::RefSilhouette(*cases[t].first, cases[t].second),
+                     "case " + std::to_string(t));
+  }
+  EXPECT_EQ(Silhouette(data, short_labels).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Silhouette(pair, {0, 1}).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(SilhouetteOracleTest, BatchEqualsPerLabelingCalls) {
+  const Matrix data = OracleData();
+  std::vector<std::vector<int>> labelings = OracleLabelings(data.rows());
+  // Errors ride along per entry without disturbing the others.
+  labelings.insert(labelings.begin() + 2, std::vector<int>(data.rows(), 0));
+  labelings.push_back(std::vector<int>(3, 0));
+  for (const size_t threads : {1u, 4u}) {
+    SetThreadCount(threads);
+    const std::vector<Result<double>> batch = SilhouetteBatch(data, labelings);
+    ASSERT_EQ(batch.size(), labelings.size());
+    for (size_t b = 0; b < labelings.size(); ++b) {
+      ExpectSameResult(batch[b], Silhouette(data, labelings[b]),
+                       "entry " + std::to_string(b));
+    }
+  }
+  SetThreadCount(0);
+  EXPECT_TRUE(SilhouetteBatch(data, {}).empty());
+}
+
+TEST(SilhouetteOracleTest, TalliesOneDistancePassPerBatch) {
+  if (!telemetry::kProfileCompiledIn) GTEST_SKIP() << "tracing compiled out";
+  const Matrix data = OracleData();
+  const std::vector<std::vector<int>> labelings =
+      OracleLabelings(data.rows());
+  const uint64_t n = data.rows(), d = data.cols();
+  telemetry::ResourceScope scope;
+  (void)SilhouetteBatch(data, labelings);
+  EXPECT_EQ(scope.Snapshot().flops, n * n * (3 * d + 1));
+}
+
+TEST(DunnOracleTest, BitIdenticalToSerialAtEveryThreadCount) {
+  const Matrix data = OracleData();
+  const std::vector<std::vector<int>> labelings =
+      OracleLabelings(data.rows());
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SetThreadCount(threads);
+    for (size_t b = 0; b < labelings.size(); ++b) {
+      ExpectSameResult(DunnIndex(data, labelings[b]),
+                       test::RefDunnIndex(data, labelings[b]),
+                       "labeling " + std::to_string(b) + " threads " +
+                           std::to_string(threads));
+    }
+  }
+  SetThreadCount(0);
+  ExpectSameResult(DunnIndex(data, std::vector<int>(data.rows(), 1)),
+                   test::RefDunnIndex(data, std::vector<int>(data.rows(), 1)),
+                   "one cluster");
+  EXPECT_FALSE(DunnIndex(data, {0, 1}).ok());
 }
 
 TEST(ClusterMeansTest, ComputesMeans) {
