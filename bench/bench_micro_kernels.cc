@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels underneath the
-// algorithms: pairwise distances, Jacobi eigendecomposition, one-sided
+// algorithms: pairwise distances, symmetric eigendecomposition, one-sided
 // Jacobi SVD, a Lloyd iteration, dense-unit mining, kernel matrices and
 // the batched silhouette pass.
 //
@@ -57,7 +57,8 @@ void BM_EigenSymmetric(benchmark::State& state) {
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_EigenSymmetric)->Range(8, 128)->Complexity();
+// Up to n = 512 so a return of O(n^3)-per-sweep Jacobi cost shows up.
+BENCHMARK(BM_EigenSymmetric)->Range(8, 512)->Complexity();
 
 void BM_Svd(benchmark::State& state) {
   const Matrix a = RandomMatrix(state.range(0), state.range(0) / 2, 3);

@@ -12,6 +12,63 @@
 
 namespace multiclust {
 
+Result<Matrix> SpectralEmbedding(const Matrix& affinity, size_t k) {
+  const size_t n = affinity.rows();
+  if (affinity.cols() != n || k == 0 || k > n) {
+    return Status::InvalidArgument(
+        "spectral embedding: need a square affinity and 0 < k <= n");
+  }
+  Matrix norm(n, n);
+  {
+    MULTICLUST_TRACE_SPAN("cluster.spectral.normalise");
+    // Each row owns its degree and its output row, and every entry is the
+    // same expression as the serial loop, so the matrix is bit-identical
+    // for any thread count. Skipping j == i sums the same terms as adding
+    // a zeroed diagonal.
+    std::vector<double> inv_sqrt_deg(n, 0.0);
+    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        const double* w = affinity.row_data(i);
+        double deg = 0.0;
+        for (size_t j = 0; j < n; ++j) {
+          if (j != i) deg += w[j];
+        }
+        inv_sqrt_deg[i] = deg > 1e-12 ? 1.0 / std::sqrt(deg) : 0.0;
+      }
+    });
+    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        const double* w = affinity.row_data(i);
+        double* out = norm.row_data(i);
+        for (size_t j = 0; j < n; ++j) {
+          out[j] = j == i ? 0.0 : inv_sqrt_deg[i] * w[j] * inv_sqrt_deg[j];
+        }
+      }
+    });
+  }
+
+  Result<SymmetricEigen> eig_result = [&] {
+    MULTICLUST_TRACE_SPAN("cluster.spectral.eigen");
+    return EigenSymmetric(norm);
+  }();
+  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, std::move(eig_result));
+
+  Matrix embed(n, k);
+  for (size_t i = 0; i < n; ++i) {
+    double norm_sq = 0.0;
+    for (size_t c = 0; c < k; ++c) {
+      const double v = eig.vectors.at(i, c);
+      embed.at(i, c) = v;
+      norm_sq += v * v;
+    }
+    if (norm_sq > 1e-24) {
+      const double inv = 1.0 / std::sqrt(norm_sq);
+      for (size_t c = 0; c < k; ++c) embed.at(i, c) *= inv;
+    }
+  }
+  return embed;
+}
+
 Result<Clustering> RunSpectral(const Matrix& data,
                                const SpectralOptions& options) {
   const size_t n = data.rows();
@@ -22,54 +79,13 @@ Result<Clustering> RunSpectral(const Matrix& data,
   MULTICLUST_TRACE_SPAN("cluster.spectral.run");
   BudgetTracker guard(options.budget, "spectral");
 
-  Matrix norm(n, n);
-  {
+  const Matrix affinity = [&] {
     MULTICLUST_TRACE_SPAN("cluster.spectral.affinity");
-    // Affinity with zero diagonal (standard NJW).
-    Matrix w = GaussianKernelMatrix(data, options.gamma);
-    for (size_t i = 0; i < n; ++i) w.at(i, i) = 0.0;
-
-    // Normalised affinity D^{-1/2} W D^{-1/2}; its top-k eigenvectors equal
-    // the bottom-k of the normalised Laplacian.
-    std::vector<double> inv_sqrt_deg(n, 0.0);
-    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        double deg = 0.0;
-        for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
-        inv_sqrt_deg[i] = deg > 1e-12 ? 1.0 / std::sqrt(deg) : 0.0;
-      }
-    });
-    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
-        }
-      }
-    });
-  }
-
-  if (guard.Cancelled()) return guard.CancelledStatus();
-  Result<SymmetricEigen> eig_result = [&] {
-    MULTICLUST_TRACE_SPAN("cluster.spectral.eigen");
-    return EigenSymmetric(norm);
+    return GaussianKernelMatrix(data, options.gamma);
   }();
-  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, std::move(eig_result));
   if (guard.Cancelled()) return guard.CancelledStatus();
-
-  // Embed into the top-k eigenvectors, row-normalised.
-  Matrix embed(n, options.k);
-  for (size_t i = 0; i < n; ++i) {
-    double norm_sq = 0.0;
-    for (size_t c = 0; c < options.k; ++c) {
-      const double v = eig.vectors.at(i, c);
-      embed.at(i, c) = v;
-      norm_sq += v * v;
-    }
-    if (norm_sq > 1e-24) {
-      const double inv = 1.0 / std::sqrt(norm_sq);
-      for (size_t c = 0; c < options.k; ++c) embed.at(i, c) *= inv;
-    }
-  }
+  MC_ASSIGN_OR_RETURN(Matrix embed, SpectralEmbedding(affinity, options.k));
+  if (guard.Cancelled()) return guard.CancelledStatus();
 
   if (MC_FAULT_FIRES("spectral", FaultKind::kInjectNaN, 0)) {
     embed.at(0, 0) = std::numeric_limits<double>::quiet_NaN();

@@ -28,11 +28,18 @@ struct SpectralOptions {
   RunDiagnostics* diagnostics = nullptr;
 };
 
+/// Ng-Jordan-Weiss spectral embedding of an n x n symmetric affinity:
+/// degree normalisation D^{-1/2} W D^{-1/2} (the diagonal of `affinity` is
+/// treated as zero), the top-k eigenvectors of that matrix (the bottom-k of
+/// the normalised Laplacian), then each row scaled to unit length. Returns
+/// the n x k embedding; eigensolver errors pass through. Bit-identical for
+/// any thread count.
+Result<Matrix> SpectralEmbedding(const Matrix& affinity, size_t k);
+
 /// Spectral clustering (Ng, Jordan & Weiss 2001): Gaussian affinity,
-/// normalised Laplacian, top-k eigenvector embedding (via the in-house
-/// Jacobi eigensolver), row normalisation, k-means. The base method of the
-/// mSC multiple-views approach referenced by the tutorial (slide 90).
-/// O(n^3); intended for n up to a few hundred.
+/// SpectralEmbedding, k-means. The base method of the mSC multiple-views
+/// approach referenced by the tutorial (slide 90). O(n^3) in the
+/// eigendecomposition.
 Result<Clustering> RunSpectral(const Matrix& data,
                                const SpectralOptions& options);
 

@@ -2,90 +2,259 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
+
+#include "common/fault.h"
+#include "common/profile.h"
+#include "common/runguard.h"
 
 namespace multiclust {
 
-Result<SymmetricEigen> EigenSymmetric(const Matrix& a, double tol,
-                                      int max_sweeps) {
+namespace {
+
+// QL iterations allowed per eigenvalue before EigenSymmetric gives up
+// (the EISPACK tql2 limit; convergence normally takes one to three).
+constexpr int kMaxQlIterations = 30;
+
+// sqrt(a^2 + b^2) without destructive overflow or underflow. Division and
+// sqrt are correctly rounded IEEE operations, so unlike libm's hypot the
+// result has the same bits on every platform.
+double Pythag(double a, double b) {
+  const double abs_a = std::fabs(a);
+  const double abs_b = std::fabs(b);
+  if (abs_a > abs_b) {
+    const double r = abs_b / abs_a;
+    return abs_a * std::sqrt(1.0 + r * r);
+  }
+  if (abs_b == 0.0) return 0.0;
+  const double r = abs_a / abs_b;
+  return abs_b * std::sqrt(1.0 + r * r);
+}
+
+// Householder reduction of the symmetric matrix held in `zt` to
+// tridiagonal form (JAMA/EISPACK tred2). On return `d` is the diagonal,
+// `e[i]` couples i-1 and i (e[0] = 0), and `zt` holds the transpose of the
+// accumulated orthogonal transformation: row r of `zt` is column r of the
+// textbook V, so every inner loop below walks a contiguous row.
+void Tridiagonalise(Matrix& zt, std::vector<double>& d,
+                    std::vector<double>& e) {
+  const size_t n = zt.rows();
+  for (size_t j = 0; j < n; ++j) d[j] = zt.at(j, n - 1);
+
+  for (size_t i = n - 1; i > 0; --i) {
+    double scale = 0.0;
+    double h = 0.0;
+    for (size_t k = 0; k < i; ++k) scale += std::fabs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (size_t j = 0; j < i; ++j) {
+        d[j] = zt.at(j, i - 1);
+        zt.at(j, i) = 0.0;
+        zt.at(i, j) = 0.0;
+      }
+    } else {
+      // Householder vector, scaled against under/overflow.
+      for (size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = std::sqrt(h);
+      if (f > 0) g = -g;
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      for (size_t j = 0; j < i; ++j) e[j] = 0.0;
+
+      // p = A u / h, accumulated over the stored triangle.
+      double* zi = zt.row_data(i);
+      for (size_t j = 0; j < i; ++j) {
+        const double* zj = zt.row_data(j);
+        f = d[j];
+        zi[j] = f;
+        g = e[j] + zj[j] * f;
+        for (size_t k = j + 1; k < i; ++k) {
+          g += zj[k] * d[k];
+          e[k] += zj[k] * f;
+        }
+        e[j] = g;
+      }
+      f = 0.0;
+      for (size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+      // Symmetric rank-2 update A -= u q^T + q u^T.
+      for (size_t j = 0; j < i; ++j) {
+        double* zj = zt.row_data(j);
+        f = d[j];
+        g = e[j];
+        for (size_t k = j; k < i; ++k) zj[k] -= (f * e[k] + g * d[k]);
+        d[j] = zj[i - 1];
+        zj[i] = 0.0;
+      }
+    }
+    d[i] = h;
+  }
+
+  // Accumulate the transformations.
+  for (size_t i = 0; i + 1 < n; ++i) {
+    zt.at(i, n - 1) = zt.at(i, i);
+    zt.at(i, i) = 1.0;
+    double* zn = zt.row_data(i + 1);
+    const double h = d[i + 1];
+    if (h != 0.0) {
+      for (size_t k = 0; k <= i; ++k) d[k] = zn[k] / h;
+      for (size_t j = 0; j <= i; ++j) {
+        double* zj = zt.row_data(j);
+        double g = 0.0;
+        for (size_t k = 0; k <= i; ++k) g += zn[k] * zj[k];
+        for (size_t k = 0; k <= i; ++k) zj[k] -= g * d[k];
+      }
+    }
+    for (size_t k = 0; k <= i; ++k) zn[k] = 0.0;
+  }
+  for (size_t j = 0; j < n; ++j) {
+    d[j] = zt.at(j, n - 1);
+    zt.at(j, n - 1) = 0.0;
+  }
+  zt.at(n - 1, n - 1) = 1.0;
+  e[0] = 0.0;
+}
+
+// Implicit-shift QL on the tridiagonal (d, e) from Tridiagonalise
+// (JAMA/EISPACK tql2), rotating the transposed accumulator `zt` so that
+// each Givens rotation updates two contiguous rows. On success `d` holds
+// the (unsorted) eigenvalues, row r of `zt` the eigenvector of d[r], and
+// the result is the number of rotations applied.
+Result<uint64_t> TridiagonalQl(Matrix& zt, std::vector<double>& d,
+                               std::vector<double>& e) {
+  const size_t n = zt.rows();
+  for (size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+
+  const double eps = std::numeric_limits<double>::epsilon();
+  uint64_t rotations = 0;
+  double f = 0.0;
+  double tst1 = 0.0;
+  for (size_t l = 0; l < n; ++l) {
+    // Find a negligible subdiagonal element; e[n-1] = 0 ends the scan.
+    tst1 = std::max(tst1, std::fabs(d[l]) + std::fabs(e[l]));
+    size_t m = l;
+    while (m + 1 < n && std::fabs(e[m]) > eps * tst1) ++m;
+
+    if (m > l) {
+      int iter = 0;
+      bool converged = false;
+      while (!converged) {
+        if (++iter > kMaxQlIterations) {
+          return Status::ComputationError(
+              "EigenSymmetric: QL did not converge for eigenvalue " +
+              std::to_string(l) + " within " +
+              std::to_string(kMaxQlIterations) + " iterations");
+        }
+        // Implicit shift.
+        double g = d[l];
+        double p = (d[l + 1] - g) / (2.0 * e[l]);
+        double r = Pythag(p, 1.0);
+        if (p < 0) r = -r;
+        d[l] = e[l] / (p + r);
+        d[l + 1] = e[l] * (p + r);
+        const double dl1 = d[l + 1];
+        double h = g - d[l];
+        for (size_t i = l + 2; i < n; ++i) d[i] -= h;
+        f += h;
+
+        // Implicit QL transformation, sweeping i = m-1 down to l.
+        p = d[m];
+        double c = 1.0, c2 = 1.0, c3 = 1.0;
+        const double el1 = e[l + 1];
+        double s = 0.0, s2 = 0.0;
+        for (size_t i = m; i-- > l;) {
+          c3 = c2;
+          c2 = c;
+          s2 = s;
+          g = c * e[i];
+          h = c * p;
+          r = Pythag(p, e[i]);
+          e[i + 1] = s * r;
+          s = e[i] / r;
+          c = p / r;
+          p = c * d[i] - s * g;
+          d[i + 1] = h + s * (c * g + s * d[i]);
+          double* zi = zt.row_data(i);
+          double* zi1 = zt.row_data(i + 1);
+          for (size_t k = 0; k < n; ++k) {
+            const double t = zi1[k];
+            zi1[k] = s * zi[k] + c * t;
+            zi[k] = c * zi[k] - s * t;
+          }
+        }
+        rotations += m - l;
+        p = -s * s2 * c3 * el1 * e[l] / dl1;
+        e[l] = s * p;
+        d[l] = c * p;
+        // Written so that a NaN ends the loop; the finite check in
+        // EigenSymmetric then reports it.
+        converged = !(std::fabs(e[l]) > eps * tst1) &&
+                    !MC_FAULT_FIRES("eigen", FaultKind::kForceNonConvergence,
+                                    l);
+      }
+    }
+    d[l] += f;
+    e[l] = 0.0;
+  }
+  return rotations;
+}
+
+}  // namespace
+
+Result<SymmetricEigen> EigenSymmetric(const Matrix& a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("EigenSymmetric: matrix must be square");
   }
+  // A NaN or Inf would flow through every rotation and come back as NaN
+  // eigenpairs; reject it before any work is done.
+  if (Status finite = ValidateMatrix("EigenSymmetric", a); !finite.ok()) {
+    return Status::ComputationError(finite.message());
+  }
   const size_t n = a.rows();
-  Matrix m = a;
-  Matrix v = Matrix::Identity(n);
-
-  auto off_diag_norm = [&]() {
-    double s = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) s += m.at(i, j) * m.at(i, j);
-    }
-    return std::sqrt(2.0 * s);
-  };
-
-  const double scale = std::max(1.0, m.FrobeniusNorm());
-  bool converged = n <= 1;
-  for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
-    if (off_diag_norm() <= tol * scale) {
-      converged = true;
-      break;
-    }
-    for (size_t p = 0; p + 1 < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        const double apq = m.at(p, q);
-        if (std::fabs(apq) <= 1e-300) continue;
-        const double app = m.at(p, p);
-        const double aqq = m.at(q, q);
-        const double theta = (aqq - app) / (2.0 * apq);
-        const double t = (theta >= 0 ? 1.0 : -1.0) /
-                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        // Apply rotation J(p, q, theta) on both sides.
-        for (size_t k = 0; k < n; ++k) {
-          const double mkp = m.at(k, p);
-          const double mkq = m.at(k, q);
-          m.at(k, p) = c * mkp - s * mkq;
-          m.at(k, q) = s * mkp + c * mkq;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double mpk = m.at(p, k);
-          const double mqk = m.at(q, k);
-          m.at(p, k) = c * mpk - s * mqk;
-          m.at(q, k) = s * mpk + c * mqk;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double vkp = v.at(k, p);
-          const double vkq = v.at(k, q);
-          v.at(k, p) = c * vkp - s * vkq;
-          v.at(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-  if (!converged && off_diag_norm() > tol * scale * 100) {
-    return Status::ComputationError("EigenSymmetric: Jacobi did not converge");
-  }
-
   SymmetricEigen out;
-  out.values.resize(n);
-  for (size_t i = 0; i < n; ++i) out.values[i] = m.at(i, i);
-  // Sort descending by eigenvalue, permuting eigenvector columns.
+  if (n == 0) return out;
+
+  Matrix zt = a;
+  std::vector<double> d(n, 0.0);
+  std::vector<double> e(n, 0.0);
+  Tridiagonalise(zt, d, e);
+  MC_ASSIGN_OR_RETURN(const uint64_t rotations, TridiagonalQl(zt, d, e));
+  // Reduction and accumulation are ~4/3 n^3 each; a rotation is 6n.
+  const uint64_t n64 = n;
+  telemetry::CountFlops(8 * n64 * n64 * n64 / 3 + 6 * n64 * rotations,
+                        sizeof(double) * (n64 * n64 + 2 * n64 * rotations));
+  for (double v : d) {
+    if (!std::isfinite(v)) {
+      return Status::ComputationError(
+          "EigenSymmetric: non-finite eigenvalue (arithmetic overflow)");
+    }
+  }
+
+  // Descending by eigenvalue; ties keep their QL order.
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    return out.values[x] > out.values[y];
-  });
-  std::vector<double> sorted_values(n);
-  Matrix sorted_vectors(n, n);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t x, size_t y) { return d[x] > d[y]; });
+  out.values.resize(n);
+  out.vectors = Matrix(n, n);
   for (size_t j = 0; j < n; ++j) {
-    sorted_values[j] = out.values[order[j]];
-    for (size_t i = 0; i < n; ++i) {
-      sorted_vectors.at(i, j) = v.at(i, order[j]);
-    }
+    out.values[j] = d[order[j]];
+    const double* col = zt.row_data(order[j]);
+    for (size_t i = 0; i < n; ++i) out.vectors.at(i, j) = col[i];
   }
-  out.values = std::move(sorted_values);
-  out.vectors = std::move(sorted_vectors);
   return out;
 }
 

@@ -16,12 +16,18 @@ struct SymmetricEigen {
   Matrix vectors;
 };
 
-/// Computes the full eigendecomposition of symmetric `a` with the cyclic
-/// Jacobi method. Returns InvalidArgument for non-square input and
-/// ComputationError if rotation sweeps fail to converge.
-Result<SymmetricEigen> EigenSymmetric(const Matrix& a,
-                                      double tol = 1e-12,
-                                      int max_sweeps = 64);
+/// Computes the full eigendecomposition of symmetric `a` (only its upper
+/// triangle is read): Householder reduction to tridiagonal form, then
+/// implicit-shift QL (EISPACK tred2 + tql2). O(n^3) with two n x n
+/// scratch matrices. Plain scalar arithmetic in a fixed order, so results
+/// are bit-identical across thread counts and SIMD builds; equal
+/// eigenvalues keep their QL order (stable sort).
+///
+/// Returns InvalidArgument for non-square input, and ComputationError for
+/// a non-finite cell (named as ValidateMatrix names it), for a QL
+/// iteration that exceeds its fixed per-eigenvalue cap, or for finite
+/// input so large that the arithmetic overflows.
+Result<SymmetricEigen> EigenSymmetric(const Matrix& a);
 
 /// Thin singular value decomposition A = U * diag(sigma) * V^T for an
 /// m x n matrix with any m, n. U is m x r, V is n x r, r = min(m, n);

@@ -63,40 +63,36 @@ Matrix GaussianKernelMatrix(const Matrix& data, double gamma) {
   return k;
 }
 
-Result<double> Hsic(const Matrix& x, const Matrix& y, double gamma_x,
-                    double gamma_y) {
-  if (x.rows() != y.rows()) {
-    return Status::InvalidArgument("Hsic: samples must be paired (same rows)");
+Matrix CentredGaussianKernel(const Matrix& data, double gamma) {
+  Matrix k = GaussianKernelMatrix(data, gamma);
+  const size_t n = k.rows();
+  // Kc = H K H: subtract row and column means, add back the grand mean.
+  // Row means are complete before any row is rewritten, so the centring
+  // runs in place.
+  std::vector<double> row_mean(n, 0.0);
+  ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      row_mean[i] = kernels::Sum(k.row_data(i), n) / static_cast<double>(n);
+    }
+  });
+  const double total =
+      kernels::Sum(row_mean.data(), n) / static_cast<double>(n);
+  ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      kernels::CenterRow(k.row_data(i), row_mean[i], row_mean.data(), total,
+                         k.row_data(i), n);
+    }
+  });
+  return k;
+}
+
+Result<double> HsicFromCentred(const Matrix& kc, const Matrix& lc) {
+  const size_t n = kc.rows();
+  if (kc.cols() != n || lc.rows() != n || lc.cols() != n) {
+    return Status::InvalidArgument(
+        "Hsic: centred kernels must be square and paired");
   }
-  const size_t n = x.rows();
   if (n < 2) return Status::InvalidArgument("Hsic: need at least 2 rows");
-
-  const Matrix k = GaussianKernelMatrix(x, gamma_x);
-  const Matrix l = GaussianKernelMatrix(y, gamma_y);
-
-  // Centre both kernel matrices: Kc = H K H with H = I - 11^T / n, then
-  // HSIC = tr(Kc * Lc) / (n-1)^2 = sum_ij Kc_ij * Lc_ij / (n-1)^2.
-  auto centre = [n](const Matrix& m) {
-    std::vector<double> row_mean(n, 0.0);
-    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        row_mean[i] = kernels::Sum(m.row_data(i), n) / static_cast<double>(n);
-      }
-    });
-    const double total =
-        kernels::Sum(row_mean.data(), n) / static_cast<double>(n);
-    Matrix c(n, n);
-    ParallelFor(0, n, 128, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        kernels::CenterRow(m.row_data(i), row_mean[i], row_mean.data(), total,
-                           c.row_data(i), n);
-      }
-    });
-    return c;
-  };
-
-  const Matrix kc = centre(k);
-  const Matrix lc = centre(l);
   // Lc is symmetric (up to centring round-off), so the trace contracts
   // row-against-row: sum_i <Kc_i, Lc_i> — contiguous dots instead of the
   // strided column walk lc.at(j, i).
@@ -112,6 +108,15 @@ Result<double> Hsic(const Matrix& x, const Matrix& y, double gamma_x,
       [](double a, double b) { return a + b; });
   const double denom = static_cast<double>(n - 1) * static_cast<double>(n - 1);
   return trace / denom;
+}
+
+Result<double> Hsic(const Matrix& x, const Matrix& y, double gamma_x,
+                    double gamma_y) {
+  if (x.rows() != y.rows()) {
+    return Status::InvalidArgument("Hsic: samples must be paired (same rows)");
+  }
+  return HsicFromCentred(CentredGaussianKernel(x, gamma_x),
+                         CentredGaussianKernel(y, gamma_y));
 }
 
 }  // namespace multiclust

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "cluster/hierarchical.h"
 #include "common/runguard.h"
@@ -25,15 +26,21 @@ Result<MscResult> RunMultipleSpectralViews(const Matrix& data,
   BudgetTracker guard(options.budget, "msc");
 
   MscResult result;
-  // Pairwise dependence between single dimensions.
+  // Pairwise dependence between single dimensions: each dimension's
+  // centred kernel is built once (d n x n matrices) and every pair is a
+  // trace contraction of two of them — the same values as pairwise Hsic.
+  std::vector<Matrix> centred;
+  centred.reserve(d);
+  for (size_t a = 0; a < d; ++a) {
+    centred.push_back(
+        CentredGaussianKernel(data.SelectColumns({a}), options.gamma));
+  }
   result.dim_dependence = Matrix(d, d);
   double max_dep = 0.0;
   for (size_t a = 0; a < d; ++a) {
     for (size_t b = a + 1; b < d; ++b) {
-      const Matrix xa = data.SelectColumns({a});
-      const Matrix xb = data.SelectColumns({b});
-      MC_ASSIGN_OR_RETURN(double dep, Hsic(xa, xb, options.gamma,
-                                           options.gamma));
+      MC_ASSIGN_OR_RETURN(double dep,
+                          HsicFromCentred(centred[a], centred[b]));
       dep = std::max(dep, 0.0);
       result.dim_dependence.at(a, b) = dep;
       result.dim_dependence.at(b, a) = dep;

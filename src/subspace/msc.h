@@ -61,7 +61,8 @@ struct MscResult {
 /// the same view; independent dims are split apart), then runs spectral
 /// clustering inside each block. The result is one clustering per view,
 /// with view dissimilarity enforced through subspace independence rather
-/// than through an explicit Diss(C1, C2) term.
+/// than through an explicit Diss(C1, C2) term. Scoring the dimension pairs
+/// holds d centred n x n kernels at once (one per dimension).
 Result<MscResult> RunMultipleSpectralViews(const Matrix& data,
                                            const MscOptions& options);
 

@@ -65,11 +65,11 @@ Matrix LeastSpreadBasis(const Matrix& data, const std::vector<int>& members,
   std::vector<size_t> rows(members.begin(), members.end());
   const Matrix sub = data.SelectRows(rows);
   Matrix cov = Covariance(sub);
-  // Ridge regularisation: a collapsed group (duplicate points, members
-  // confined to a hyperplane) yields a singular covariance on which the
-  // Jacobi sweep can stall. The jitter is orders of magnitude below any
-  // meaningful spread and leaves the eigenvectors of well-conditioned
-  // covariances untouched to ~1e-10.
+  // Ridge regularisation keeps the covariance of a collapsed group
+  // (duplicate points, members confined to a hyperplane) positive
+  // definite. The jitter is orders of magnitude below any meaningful
+  // spread and leaves the eigenvectors of well-conditioned covariances
+  // untouched to ~1e-10.
   double trace = 0.0;
   for (size_t j = 0; j < d; ++j) trace += cov.at(j, j);
   const double ridge = 1e-10 * (trace / static_cast<double>(d)) + 1e-12;

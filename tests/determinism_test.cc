@@ -9,6 +9,7 @@
 #include "cluster/dbscan.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "linalg/decomposition.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "stats/hsic.h"
@@ -30,6 +31,7 @@
 #include "subspace/msc.h"
 #include "subspace/orclus.h"
 #include "subspace/proclus.h"
+#include "support/eigen_ref.h"
 
 namespace multiclust {
 namespace {
@@ -311,6 +313,26 @@ TEST(ThreadInvarianceTest, SpectralLabels) {
     const Clustering parallel = WithThreads(threads, run);
     EXPECT_EQ(serial.labels, parallel.labels) << "threads=" << threads;
     EXPECT_EQ(serial.quality, parallel.quality) << "threads=" << threads;
+  }
+}
+
+TEST(ThreadInvarianceTest, SpectralEmbeddingMatchesSerialLoops) {
+  // The parallel degree normalisation computes every entry with the
+  // serial loop's expression, so the embedding equals the serial-loop
+  // reference bit for bit at every thread count. n = 300 spans three
+  // normalisation chunks.
+  std::vector<ViewSpec> views(2);
+  views[0] = {2, 3, 12.0, 0.8, ""};
+  views[1] = {2, 2, 8.0, 0.8, ""};
+  const Matrix affinity =
+      GaussianKernelMatrix(MakeMultiView(300, views, 1, 33)->data(), 0.0);
+  const Matrix serial =
+      test::RefSpectralEmbedding(affinity, 3, EigenSymmetric).value();
+  for (const size_t threads : {1u, 2u, 4u}) {
+    const Matrix embed =
+        WithThreads(threads, [&] { return SpectralEmbedding(affinity, 3); })
+            .value();
+    EXPECT_EQ(serial.MaxAbsDiff(embed), 0.0) << "threads=" << threads;
   }
 }
 

@@ -3,6 +3,7 @@
 // pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "metrics/multi_solution.h"
 #include "metrics/partition_similarity.h"
 #include "stats/contingency.h"
+#include "stats/hsic.h"
 #include "subspace/doc.h"
 #include "subspace/msc.h"
 #include "subspace/orclus.h"
@@ -421,6 +423,25 @@ TEST(MscTest, DependenceMatrixIsSymmetricNonNegative) {
       EXPECT_GE(r->dim_dependence.at(a, b), 0.0);
       EXPECT_NEAR(r->dim_dependence.at(a, b), r->dim_dependence.at(b, a),
                   1e-12);
+    }
+  }
+}
+
+TEST(MscTest, DimDependenceEqualsPairwiseHsic) {
+  // mSC contracts cached per-dimension centred kernels; every entry must
+  // equal the pairwise Hsic call bit for bit.
+  auto ds = MakeUniformCube(50, 4, 14);
+  MscOptions opts;
+  opts.num_views = 2;
+  opts.k = 2;
+  auto r = RunMultipleSpectralViews(ds->data(), opts);
+  ASSERT_TRUE(r.ok());
+  for (size_t a = 0; a < 4; ++a) {
+    for (size_t b = a + 1; b < 4; ++b) {
+      const double hsic = Hsic(ds->data().SelectColumns({a}),
+                               ds->data().SelectColumns({b}))
+                              .value();
+      EXPECT_EQ(r->dim_dependence.at(a, b), std::max(hsic, 0.0));
     }
   }
 }

@@ -14,10 +14,12 @@
 
 #include "cluster/gmm.h"
 #include "cluster/kmeans.h"
+#include "cluster/spectral.h"
 #include "common/fault.h"
 #include "common/runguard.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
+#include "linalg/decomposition.h"
 
 namespace multiclust {
 namespace {
@@ -408,6 +410,26 @@ TEST_F(FaultInjectionTest, InjectedAllocFailureDegradesToComputationError) {
   auto report = DiscoverMultipleClusterings(BlobData(), dopts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->solutions.size(), 0u);
+}
+
+TEST_F(FaultInjectionTest, EigenIterationCapIsComputationError) {
+  // Suppressing the QL convergence test drives one eigenvalue into the
+  // fixed iteration cap, which must come back as an error, not as NaNs.
+  const Matrix a = Matrix::FromRows(
+      {{4, 1, 0.5, 0}, {1, 3, 0.2, 0.1}, {0.5, 0.2, 2, 0.3}, {0, 0.1, 0.3, 1}});
+  fault::Arm({"eigen", FaultKind::kForceNonConvergence, 0, 0});
+  auto r = EigenSymmetric(a);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kComputationError);
+  EXPECT_NE(r.status().message().find("QL did not converge"),
+            std::string::npos);
+  SpectralOptions opts;
+  opts.k = 3;
+  auto c = RunSpectral(BlobData(), opts);
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.status().code(), StatusCode::kComputationError);
+  fault::Reset();
+  EXPECT_TRUE(EigenSymmetric(a).ok());
 }
 
 #endif  // MULTICLUST_FAULT_INJECTION

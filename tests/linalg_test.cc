@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "cluster/kmeans.h"
+#include "cluster/spectral.h"
 #include "common/rng.h"
+#include "data/generators.h"
 #include "linalg/decomposition.h"
 #include "linalg/matrix.h"
 #include "linalg/pca.h"
+#include "stats/hsic.h"
+#include "support/eigen_ref.h"
 
 namespace multiclust {
 namespace {
@@ -169,7 +175,164 @@ TEST_P(EigenPropertyTest, ReconstructionAndOrthonormality) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenPropertyTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 33, 200));
+
+// Symmetric and indefinite: (B + B^T) / 2 for Gaussian B.
+Matrix RandomSymmetric(size_t n, uint64_t seed) {
+  const Matrix b = RandomMatrix(n, n, seed);
+  return (b + b.Transpose()) * 0.5;
+}
+
+// Projector V_3 V_3^T onto the span of the first 3 eigenvector columns.
+Matrix Top3Projector(const Matrix& vectors) {
+  const Matrix v3 = vectors.SelectColumns({0, 1, 2});
+  return v3 * v3.Transpose();
+}
+
+class EigenOracleTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(EigenOracleTest, MatchesJacobiOracle) {
+  const size_t n = GetParam();
+  const Matrix a = RandomSymmetric(n, 300 + n);
+  auto r = EigenSymmetric(a);
+  auto ref = test::RefEigenJacobi(a);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(ref.ok());
+  const double scale = 1.0 + a.FrobeniusNorm();
+  for (size_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(r->values[j], ref->values[j], 1e-10 * scale) << "j=" << j;
+  }
+  // Eigenvectors are unique up to sign only where the eigenvalue is
+  // separated from its neighbours.
+  size_t compared = 0;
+  for (size_t j = 0; j < n; ++j) {
+    double gap = 1e300;
+    if (j > 0) gap = std::min(gap, ref->values[j - 1] - ref->values[j]);
+    if (j + 1 < n) gap = std::min(gap, ref->values[j] - ref->values[j + 1]);
+    if (gap < 1e-6 * scale) continue;
+    double dot = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      dot += r->vectors.at(i, j) * ref->vectors.at(i, j);
+    }
+    EXPECT_GE(std::fabs(dot), 1.0 - 1e-10) << "j=" << j;
+    ++compared;
+  }
+  EXPECT_GT(compared, n / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, EigenOracleTest,
+                         ::testing::Values(2, 3, 8, 33, 100));
+
+TEST(EigenOracleTest, RepeatedTopEigenvalueProjector) {
+  // Three disconnected blocks: the normalised affinity D^{-1/2} W D^{-1/2}
+  // has eigenvalue 1 three times, the spectral-clustering case. Only the
+  // top-3 eigenspace is defined, so compare projectors.
+  const std::vector<size_t> blocks = {7, 11, 14};
+  size_t n = 0;
+  for (size_t b : blocks) n += b;
+  Rng rng(77);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.Gaussian(0, 1);
+  Matrix w(n, n);
+  size_t lo = 0;
+  for (size_t b : blocks) {
+    for (size_t i = lo; i < lo + b; ++i) {
+      for (size_t j = lo; j < lo + b; ++j) {
+        if (i != j) w.at(i, j) = std::exp(-(x[i] - x[j]) * (x[i] - x[j]));
+      }
+    }
+    lo += b;
+  }
+  std::vector<double> inv_sqrt_deg(n);
+  for (size_t i = 0; i < n; ++i) {
+    double deg = 0.0;
+    for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
+    inv_sqrt_deg[i] = 1.0 / std::sqrt(deg);
+  }
+  Matrix norm(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
+    }
+  }
+  auto r = EigenSymmetric(norm);
+  auto ref = test::RefEigenJacobi(norm);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(ref.ok());
+  for (size_t j = 0; j < 3; ++j) EXPECT_NEAR(r->values[j], 1.0, 1e-10);
+  EXPECT_LT(r->values[3], 1.0 - 1e-3);
+  EXPECT_LT(Top3Projector(r->vectors).MaxAbsDiff(Top3Projector(ref->vectors)),
+            1e-8);
+}
+
+TEST(EigenEdgeTest, ZeroAndIdentity) {
+  for (double fill : {0.0, 1.0}) {
+    const Matrix a = Matrix::Identity(6) * fill;
+    auto r = EigenSymmetric(a);
+    ASSERT_TRUE(r.ok());
+    for (double v : r->values) EXPECT_EQ(v, fill);
+    EXPECT_EQ(r->vectors.MaxAbsDiff(Matrix::Identity(6)), 0.0);
+  }
+}
+
+TEST(EigenEdgeTest, DiagonalIsExact) {
+  const Matrix d = Matrix::Diagonal({3, -1, 2, 0, 5});
+  auto r = EigenSymmetric(d);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->values, (std::vector<double>{5, 3, 2, 0, -1}));
+  // Eigenvectors are the unit axes, permuted by the sort.
+  const std::vector<size_t> axis = {4, 0, 2, 3, 1};
+  for (size_t j = 0; j < 5; ++j) {
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(std::fabs(r->vectors.at(i, j)), i == axis[j] ? 1.0 : 0.0);
+    }
+  }
+}
+
+TEST(EigenEdgeTest, TridiagonalLaplacian) {
+  // Path-graph Laplacian-like tridiagonal: 2 on the diagonal, -1 beside it;
+  // eigenvalues 2 - 2 cos(k pi / (n + 1)), k = 1..n.
+  const size_t n = 9;
+  Matrix t(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    t.at(i, i) = 2.0;
+    if (i + 1 < n) t.at(i, i + 1) = t.at(i + 1, i) = -1.0;
+  }
+  auto r = EigenSymmetric(t);
+  ASSERT_TRUE(r.ok());
+  const double pi = std::acos(-1.0);
+  for (size_t j = 0; j < n; ++j) {
+    const double k = static_cast<double>(n - j);
+    EXPECT_NEAR(r->values[j],
+                2.0 - 2.0 * std::cos(k * pi / static_cast<double>(n + 1)),
+                1e-12);
+  }
+  Matrix scaled = r->vectors;
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < n; ++i) scaled.at(i, j) *= r->values[j];
+  }
+  EXPECT_LT((scaled * r->vectors.Transpose()).MaxAbsDiff(t), 1e-12);
+}
+
+TEST(EigenOracleTest, SpectralLabelsMatchJacobiEmbedding) {
+  auto ds = MakeCustomerScenario(200, 3);
+  ASSERT_TRUE(ds.ok());
+  SpectralOptions opts;
+  opts.k = 3;
+  opts.seed = 5;
+  auto c = RunSpectral(ds->data(), opts);
+  ASSERT_TRUE(c.ok());
+  auto embed =
+      test::RefSpectralEmbedding(GaussianKernelMatrix(ds->data()), opts.k);
+  ASSERT_TRUE(embed.ok());
+  KMeansOptions km;
+  km.k = opts.k;
+  km.restarts = opts.kmeans_restarts;
+  km.seed = opts.seed;
+  auto ref = RunKMeans(*embed, km);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(c->labels, ref->labels);
+}
 
 class SvdPropertyTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};

@@ -4,6 +4,7 @@
 // return a Status, never crash or hang.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -252,6 +253,40 @@ TEST(RobustnessTest, EigenOnZeroMatrix) {
   auto r = EigenSymmetric(Matrix(4, 4));
   ASSERT_TRUE(r.ok());
   for (double v : r->values) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(RobustnessTest, EigenRejectsNonFiniteCells) {
+  // A non-finite cell must be rejected at entry, naming the cell, before
+  // any O(n^3) work (it would otherwise surface as NaN eigenpairs).
+  for (size_t n : {4u, 200u}) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      Matrix a = Matrix::Identity(n);
+      a.at(n - 1, 2) = bad;
+      const auto t0 = std::chrono::steady_clock::now();
+      auto r = EigenSymmetric(a);
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kComputationError);
+      const std::string expected =
+          std::string("EigenSymmetric: non-finite value (") +
+          (std::isnan(bad) ? "NaN" : "Inf") + ") at row " +
+          std::to_string(n - 1) + ", column 2";
+      EXPECT_EQ(r.status().message(), expected);
+      EXPECT_LT(ms, 50.0) << "n=" << n;
+    }
+  }
+}
+
+TEST(RobustnessTest, EigenOverflowIsAnError) {
+  // Finite but so large that the reduction overflows: an error, not
+  // NaN eigenpairs.
+  const Matrix a(3, 3, 1e308);
+  auto r = EigenSymmetric(a);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kComputationError);
 }
 
 TEST(RobustnessTest, SvdOnZeroMatrix) {
