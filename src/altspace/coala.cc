@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "cluster/hierarchical.h"
-#include "common/checkpoint.h"
 #include "common/fault.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -19,73 +19,32 @@ namespace {
 // Lance-Williams-mutated in place, so resuming means restoring them
 // verbatim — everything else (active set, group sizes, memberships, merge
 // stats) rides along.
-struct CoalaCkptState {
-  size_t step = 0;
+struct CoalaState {
   size_t iter = 0;
+  size_t remaining = 0;  ///< active groups
+  // Average-link distances between current groups, maintained with the
+  // Lance-Williams update. violations(i, j) counts cannot-link pairs
+  // between groups i and j; a "dissimilarity merge" requires
+  // violations == 0.
   Matrix dist;
   Matrix violations;
-  std::vector<int> active;
+  std::vector<char> active;
   std::vector<size_t> sizes;
   std::vector<std::vector<int>> members;
-  size_t quality_merges = 0;
-  size_t dissimilarity_merges = 0;
-  ConvergenceTrace trace;
+  CoalaStats stats;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("iter", iter)
+        .Field("remaining", remaining)
+        .Field("dist", dist)
+        .Field("violations", violations)
+        .Field("active", active)
+        .Field("sizes", sizes)
+        .Field("members", members)
+        .Field("quality_merges", stats.quality_merges)
+        .Field("dissimilarity_merges", stats.dissimilarity_merges);
+  }
 };
-
-void WriteCoalaPayload(json::Writer* w, const CoalaCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("iter");
-  w->Uint(s.iter);
-  w->Key("dist");
-  ckpt::WriteMatrix(w, s.dist);
-  w->Key("violations");
-  ckpt::WriteMatrix(w, s.violations);
-  w->Key("active");
-  ckpt::WriteIntVector(w, s.active);
-  w->Key("sizes");
-  ckpt::WriteSizeVector(w, s.sizes);
-  w->Key("members");
-  w->BeginArray();
-  for (const std::vector<int>& m : s.members) ckpt::WriteIntVector(w, m);
-  w->EndArray();
-  w->Key("quality_merges");
-  w->Uint(s.quality_merges);
-  w->Key("dissimilarity_merges");
-  w->Uint(s.dissimilarity_merges);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->EndObject();
-}
-
-Status ReadCoalaPayload(const json::Value& v, CoalaCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->iter, ckpt::SizeField(v, "iter"));
-  MC_ASSIGN_OR_RETURN(const json::Value* d, ckpt::Field(v, "dist"));
-  MC_ASSIGN_OR_RETURN(s->dist, ckpt::ReadMatrix(*d));
-  MC_ASSIGN_OR_RETURN(const json::Value* viol, ckpt::Field(v, "violations"));
-  MC_ASSIGN_OR_RETURN(s->violations, ckpt::ReadMatrix(*viol));
-  MC_ASSIGN_OR_RETURN(const json::Value* act, ckpt::Field(v, "active"));
-  MC_ASSIGN_OR_RETURN(s->active, ckpt::ReadIntVector(*act));
-  MC_ASSIGN_OR_RETURN(const json::Value* sz, ckpt::Field(v, "sizes"));
-  MC_ASSIGN_OR_RETURN(s->sizes, ckpt::ReadSizeVector(*sz));
-  MC_ASSIGN_OR_RETURN(const json::Value* mem, ckpt::Field(v, "members"));
-  if (!mem->is_array()) {
-    return Status::ComputationError("checkpoint: COALA members malformed");
-  }
-  for (const json::Value& m : mem->array_items()) {
-    MC_ASSIGN_OR_RETURN(std::vector<int> vec, ckpt::ReadIntVector(m));
-    s->members.push_back(std::move(vec));
-  }
-  MC_ASSIGN_OR_RETURN(s->quality_merges,
-                      ckpt::SizeField(v, "quality_merges"));
-  MC_ASSIGN_OR_RETURN(s->dissimilarity_merges,
-                      ckpt::SizeField(v, "dissimilarity_merges"));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  return Status::OK();
-}
 
 uint64_t CoalaFingerprint(const Matrix& data, const std::vector<int>& given,
                           const CoalaOptions& options) {
@@ -116,104 +75,50 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
   }
   MC_RETURN_IF_ERROR(ValidateMatrix("COALA", data));
   MULTICLUST_TRACE_SPAN("altspace.coala.run");
-  BudgetTracker guard(options.budget, "coala");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
   // Agglomerative: one merge per outer iteration, from n singleton groups
   // down to k.
-  recorder.SetExpectedIterations(n > options.k ? n - options.k : 0);
-
-  // Average-link distances between current groups, maintained with the
-  // Lance-Williams update. violations(i, j) counts cannot-link pairs between
-  // groups i and j; a "dissimilarity merge" requires violations == 0.
-  Matrix dist = PairwiseDistances(data);
-  Matrix violations(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (given[i] >= 0 && given[i] == given[j]) {
-        violations.at(i, j) = 1.0;
-        violations.at(j, i) = 1.0;
+  IterativeRun<CoalaState> run("coala", options.budget, options.diagnostics,
+                               n > options.k ? n - options.k : 0);
+  CoalaState& st = run.state;
+  const bool resumed = run.Restore(
+      [&] { return CoalaFingerprint(data, given, options); },
+      [n](const CoalaState& s) {
+        return s.dist.rows() == n && s.dist.cols() == n &&
+               s.violations.rows() == n && s.violations.cols() == n &&
+               s.active.size() == n && s.sizes.size() == n &&
+               s.members.size() == n;
+      });
+  if (!resumed) {
+    st.dist = PairwiseDistances(data);
+    st.violations = Matrix(n, n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        if (given[i] >= 0 && given[i] == given[j]) {
+          st.violations.at(i, j) = 1.0;
+          st.violations.at(j, i) = 1.0;
+        }
       }
     }
+    st.active.assign(n, 1);
+    st.sizes.assign(n, 1);
+    st.members.resize(n);
+    for (size_t i = 0; i < n; ++i) st.members[i] = {static_cast<int>(i)};
+    st.remaining = n;
   }
-
-  std::vector<char> active(n, 1);
-  std::vector<size_t> sizes(n, 1);
-  std::vector<std::vector<int>> members(n);
-  for (size_t i = 0; i < n; ++i) members[i] = {static_cast<int>(i)};
-
-  CoalaStats local_stats;
-  size_t remaining = n;
-  size_t iter = 0;
+  Matrix& dist = st.dist;
+  Matrix& violations = st.violations;
+  std::vector<char>& active = st.active;
+  std::vector<size_t>& sizes = st.sizes;
+  std::vector<std::vector<int>>& members = st.members;
+  size_t& iter = st.iter;
   bool stopped_early = false;
 
-  // --- Checkpoint/resume ----------------------------------------------
-  Checkpointer* ckp = options.budget.checkpoint;
-  const uint64_t fp =
-      ckp != nullptr ? CoalaFingerprint(data, given, options) : 0;
-  CoalaCkptState state;
-  size_t ckpt_step = 0;
-  if (ckp != nullptr) {
-    if (auto restored = ckp->TryRestore("coala", fp, options.diagnostics)) {
-      Status parsed = ReadCoalaPayload(restored->payload, &state);
-      if (parsed.ok() && state.dist.rows() == n && state.dist.cols() == n &&
-          state.violations.rows() == n && state.violations.cols() == n &&
-          state.active.size() == n && state.sizes.size() == n &&
-          state.members.size() == n) {
-        dist = std::move(state.dist);
-        violations = std::move(state.violations);
-        for (size_t i = 0; i < n; ++i) active[i] = state.active[i] != 0;
-        sizes = std::move(state.sizes);
-        members = std::move(state.members);
-        local_stats.quality_merges = state.quality_merges;
-        local_stats.dissimilarity_merges = state.dissimilarity_merges;
-        iter = state.iter;
-        ckpt_step = state.step;
-        remaining = 0;
-        for (size_t i = 0; i < n; ++i) remaining += active[i] ? 1 : 0;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "coala",
-                   "checkpoint payload rejected (" +
-                       (parsed.ok() ? std::string("state shape mismatch")
-                                    : parsed.message()) +
-                       "); cold start");
-      }
+  while (st.remaining > options.k) {
+    if (run.guard().Cancelled()) {
+      run.Flush();
+      return run.guard().CancelledStatus();
     }
-  }
-  // Persists the full merge state; `flush` forces an unconditional write
-  // (cancellation path), otherwise the policy decides. The O(n^2) state
-  // capture lives inside the payload writer, which the checkpointer only
-  // invokes for snapshots it actually serializes.
-  auto snapshot = [&](bool flush) -> Status {
-    auto payload = [&](json::Writer* w) {
-      CoalaCkptState s;
-      s.step = ckpt_step;
-      s.iter = iter;
-      s.dist = dist;
-      s.violations = violations;
-      s.active.assign(active.begin(), active.end());
-      s.sizes = sizes;
-      s.members = members;
-      s.quality_merges = local_stats.quality_merges;
-      s.dissimilarity_merges = local_stats.dissimilarity_merges;
-      if (options.diagnostics != nullptr) s.trace = options.diagnostics->trace;
-      WriteCoalaPayload(w, s);
-    };
-    Status st = flush ? ckp->Flush("coala", fp, payload)
-                      : ckp->AtPersistencePoint("coala", fp, ckpt_step, payload);
-    ++ckpt_step;
-    return flush ? Status::OK() : st;
-  };
-  // ---------------------------------------------------------------------
-
-  while (remaining > options.k) {
-    if (guard.Cancelled()) {
-      if (ckp != nullptr) (void)snapshot(/*flush=*/true);
-      return guard.CancelledStatus();
-    }
-    if (guard.ShouldStop(iter)) {
+    if (run.guard().ShouldStop(iter)) {
       stopped_early = true;
       break;
     }
@@ -262,21 +167,21 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
       mi = qi;
       mj = qj;
       merged_dist = d_qual;
-      ++local_stats.quality_merges;
+      ++st.stats.quality_merges;
       MC_METRIC_COUNT("altspace.coala.quality_merges", 1);
     } else {
       mi = di;
       mj = dj;
       merged_dist = d_diss;
-      ++local_stats.dissimilarity_merges;
+      ++st.stats.dissimilarity_merges;
       MC_METRIC_COUNT("altspace.coala.dissimilarity_merges", 1);
     }
-    if (recorder.enabled()) {
+    if (run.recorder().enabled()) {
       // The "objective" of a merge step is the chosen linkage distance;
       // delta is the gap between the two candidate merges (0 when only
       // one candidate exists).
       const double gap = d_diss == inf ? 0.0 : std::fabs(d_diss - d_qual);
-      recorder.Record(0, iter, merged_dist, gap, 0);
+      run.recorder().Record(0, iter, merged_dist, gap, 0);
     }
 
     // Merge mj into mi.
@@ -297,17 +202,17 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
     members[mi].insert(members[mi].end(), members[mj].begin(),
                        members[mj].end());
     members[mj].clear();
-    --remaining;
+    --st.remaining;
     ++iter;
     // Persistence point: the merge is complete and all state is
     // self-consistent. Covers the final merge too — a resume then simply
     // falls through the loop condition.
-    if (ckp != nullptr) MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
+    MC_RETURN_IF_ERROR(run.Persist());
   }
 
   // A budget-stopped run returns the partial dendrogram cut: more than
   // `k` clusters, flagged via `converged == false`.
-  recorder.Finish("coala", iter, !stopped_early);
+  run.Finish(iter, !stopped_early);
   Clustering out;
   out.labels.assign(n, -1);
   out.algorithm = "coala";
@@ -319,7 +224,7 @@ Result<Clustering> RunCoala(const Matrix& data, const std::vector<int>& given,
     for (int obj : members[i]) out.labels[obj] = label;
     ++label;
   }
-  if (stats != nullptr) *stats = local_stats;
+  if (stats != nullptr) *stats = st.stats;
   return out;
 }
 

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "cluster/clustering.h"
 #include "cluster/kmeans.h"
-#include "common/checkpoint.h"
 #include "common/fault.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -26,6 +25,10 @@ struct State {
   std::vector<Matrix> reps;
   std::vector<std::vector<int>> labels;
   std::vector<Matrix> means;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("reps", reps).Field("labels", labels).Field("means", means);
+  }
 };
 
 // Cluster means from current labels (empty clusters keep their rep as mean).
@@ -79,34 +82,42 @@ double Objective(const Matrix& data, const State& s, double lambda) {
   return g;
 }
 
-// One alternating-minimisation restart under the shared budget tracker.
+// One alternating-minimisation restart's result.
 struct RestartOutcome {
   State state;
   std::vector<double> history;
   size_t iterations = 0;
   bool converged = false;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("state", state)
+        .Field("history", history)
+        .Field("iterations", iterations)
+        .Field("converged", converged);
+  }
 };
 
-/// Mid-restart resume state / per-iteration persistence hook; same
-/// protocol as the k-means checkpointing. The shared outer rng is owned by
-/// the caller, which serializes it alongside.
+/// Mid-restart resume point; same protocol as the k-means checkpointing.
+/// The single shared stream lives in the RestartState, so it is not part
+/// of the seed.
 struct DecResume {
   size_t start_iter = 0;
   State state;
   std::vector<double> history;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("next_iter", start_iter)
+        .Field("state", state)
+        .Field("history", history);
+  }
 };
 
-using DecPersistFn = std::function<Status(size_t next_iter, const State& s,
-                                          const std::vector<double>& history,
-                                          bool flush)>;
+using DecRun = IterativeRun<RestartState<DecResume, RestartOutcome>>;
 
 Result<RestartOutcome> RunRestart(const Matrix& data,
-                                  const DecKMeansOptions& options,
-                                  Rng* rng, BudgetTracker* guard,
-                                  size_t restart,
-                                  ConvergenceRecorder* recorder,
-                                  const DecResume* resume,
-                                  const DecPersistFn& persist) {
+                                  const DecKMeansOptions& options, Rng* rng,
+                                  DecRun& run, size_t restart,
+                                  const DecResume* resume) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   const size_t num_clusterings = options.ks.size();
@@ -141,13 +152,20 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
     prev = Objective(data, s, options.lambda);
     history.push_back(prev);
   }
+  const auto seed_at = [&](size_t next_iter) {
+    return [&, next_iter](DecResume& seed) {
+      seed.start_iter = next_iter;
+      seed.state = s;
+      seed.history = history;
+    };
+  };
 
   for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
-    if (guard->Cancelled()) {
-      if (persist) persist(iter, s, history, /*flush=*/true);
-      return guard->CancelledStatus();
+    if (run.guard().Cancelled()) {
+      run.FlushSeed(restart, seed_at(iter));
+      return run.guard().CancelledStatus();
     }
-    if (guard->ShouldStop(iter)) break;
+    if (run.guard().ShouldStop(iter)) break;
     MC_METRIC_COUNT("altspace.dec_kmeans.iterations", 1);
     MULTICLUST_TRACE_SPAN("altspace.dec_kmeans.iteration");
     size_t reseeds = 0;
@@ -216,8 +234,9 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
           std::to_string(iter));
     }
     if (reseeds > 0) MC_METRIC_COUNT("altspace.dec_kmeans.reseeds", reseeds);
-    if (recorder->enabled()) {
-      recorder->Record(restart, iter, cur, std::fabs(prev - cur), reseeds);
+    if (run.recorder().enabled()) {
+      run.recorder().Record(restart, iter, cur, std::fabs(prev - cur),
+                            reseeds);
     }
     if (std::fabs(prev - cur) <= options.tol * (std::fabs(prev) + 1.0) &&
         !MC_FAULT_FIRES("dec-kmeans", FaultKind::kForceNonConvergence,
@@ -226,151 +245,9 @@ Result<RestartOutcome> RunRestart(const Matrix& data,
       break;
     }
     prev = cur;
-    if (persist) {
-      MC_RETURN_IF_ERROR(persist(iter + 1, s, history, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(run.PersistSeed(restart, seed_at(iter + 1)));
   }
   return out;
-}
-
-void WriteState(json::Writer* w, const State& s) {
-  w->BeginObject();
-  w->Key("reps");
-  w->BeginArray();
-  for (const Matrix& m : s.reps) ckpt::WriteMatrix(w, m);
-  w->EndArray();
-  w->Key("labels");
-  w->BeginArray();
-  for (const std::vector<int>& l : s.labels) ckpt::WriteIntVector(w, l);
-  w->EndArray();
-  w->Key("means");
-  w->BeginArray();
-  for (const Matrix& m : s.means) ckpt::WriteMatrix(w, m);
-  w->EndArray();
-  w->EndObject();
-}
-
-Status ReadState(const json::Value& v, State* s) {
-  MC_ASSIGN_OR_RETURN(const json::Value* reps, ckpt::Field(v, "reps"));
-  MC_ASSIGN_OR_RETURN(const json::Value* labels, ckpt::Field(v, "labels"));
-  MC_ASSIGN_OR_RETURN(const json::Value* means, ckpt::Field(v, "means"));
-  if (!reps->is_array() || !labels->is_array() || !means->is_array()) {
-    return Status::ComputationError("checkpoint: dec-kmeans state malformed");
-  }
-  for (const json::Value& m : reps->array_items()) {
-    MC_ASSIGN_OR_RETURN(Matrix mat, ckpt::ReadMatrix(m));
-    s->reps.push_back(std::move(mat));
-  }
-  for (const json::Value& l : labels->array_items()) {
-    MC_ASSIGN_OR_RETURN(std::vector<int> vec, ckpt::ReadIntVector(l));
-    s->labels.push_back(std::move(vec));
-  }
-  for (const json::Value& m : means->array_items()) {
-    MC_ASSIGN_OR_RETURN(Matrix mat, ckpt::ReadMatrix(m));
-    s->means.push_back(std::move(mat));
-  }
-  return Status::OK();
-}
-
-void WriteOutcome(json::Writer* w, const RestartOutcome& o) {
-  w->BeginObject();
-  w->Key("state");
-  WriteState(w, o.state);
-  w->Key("history");
-  ckpt::WriteDoubleVector(w, o.history);
-  w->Key("iterations");
-  w->Uint(o.iterations);
-  w->Key("converged");
-  w->Bool(o.converged);
-  w->EndObject();
-}
-
-Status ReadOutcome(const json::Value& v, RestartOutcome* o) {
-  MC_ASSIGN_OR_RETURN(const json::Value* st, ckpt::Field(v, "state"));
-  MC_RETURN_IF_ERROR(ReadState(*st, &o->state));
-  MC_ASSIGN_OR_RETURN(const json::Value* h, ckpt::Field(v, "history"));
-  MC_ASSIGN_OR_RETURN(o->history, ckpt::ReadDoubleVector(*h));
-  MC_ASSIGN_OR_RETURN(o->iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(o->converged, ckpt::BoolField(v, "converged"));
-  return Status::OK();
-}
-
-// Whole-invocation checkpoint state (restart loop level).
-struct DecCkptState {
-  size_t step = 0;
-  size_t restart = 0;
-  Rng rng;  ///< the single shared generator (init seeds + reseeds)
-  size_t winner = 0;
-  bool have_best = false;
-  RestartOutcome best;
-  double best_objective = std::numeric_limits<double>::infinity();
-  Status last_error = Status::OK();
-  ConvergenceTrace trace;
-  bool mid_restart = false;
-  DecResume seed;
-};
-
-void WriteDecPayload(json::Writer* w, const DecCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("rng");
-  ckpt::WriteRng(w, s.rng);
-  w->Key("winner");
-  w->Uint(s.winner);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best");
-    WriteOutcome(w, s.best);
-    w->Key("best_objective");
-    w->Double(s.best_objective);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("mid_state");
-    WriteState(w, s.seed.state);
-    w->Key("mid_history");
-    ckpt::WriteDoubleVector(w, s.seed.history);
-  }
-  w->EndObject();
-}
-
-Status ReadDecPayload(const json::Value& v, DecCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* rng, ckpt::Field(v, "rng"));
-  MC_ASSIGN_OR_RETURN(s->rng, ckpt::ReadRng(*rng));
-  MC_ASSIGN_OR_RETURN(s->winner, ckpt::SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* best, ckpt::Field(v, "best"));
-    MC_RETURN_IF_ERROR(ReadOutcome(*best, &s->best));
-    MC_ASSIGN_OR_RETURN(s->best_objective,
-                        ckpt::NumberField(v, "best_objective"));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* ms, ckpt::Field(v, "mid_state"));
-    MC_RETURN_IF_ERROR(ReadState(*ms, &s->seed.state));
-    MC_ASSIGN_OR_RETURN(const json::Value* mh, ckpt::Field(v, "mid_history"));
-    MC_ASSIGN_OR_RETURN(s->seed.history, ckpt::ReadDoubleVector(*mh));
-  }
-  return Status::OK();
 }
 
 uint64_t DecFingerprint(const Matrix& data, const DecKMeansOptions& options) {
@@ -410,109 +287,29 @@ Result<DecKMeansResult> RunDecorrelatedKMeans(
   MC_RETURN_IF_ERROR(ValidateMatrix("dec-kmeans", data));
 
   MULTICLUST_TRACE_SPAN("altspace.dec_kmeans.run");
-  BudgetTracker guard(options.budget, "dec-kmeans");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
-  Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? DecFingerprint(data, options) : 0;
+  DecRun run("dec-kmeans", options.budget, options.diagnostics,
+             options.max_iters);
+  run.state.rng = Rng(options.seed);
+  run.Restore([&] { return DecFingerprint(data, options); },
+              [](const auto&) { return true; });
 
-  DecCkptState state;
-  state.rng = Rng(options.seed);
-  bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored =
-            ck->TryRestore("dec-kmeans", fp, options.diagnostics)) {
-      DecCkptState loaded;
-      const Status parsed = ReadDecPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-          options.diagnostics->trace.winning_restart = state.winner;
-        }
-      } else {
-        AddWarning(options.diagnostics, "dec-kmeans",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
-    }
-  }
-  // `prepare` defers the state copies until a snapshot is actually
-  // serialized, keeping armed-but-not-due persistence points cheap.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
-      if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteDecPayload(w, state);
-    };
-    const Status st = flush
-                          ? ck->Flush("dec-kmeans", fp, payload)
-                          : ck->AtPersistencePoint("dec-kmeans", fp,
-                                                   state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  const size_t start_restart = state.restart;
-  for (size_t restart = start_restart; restart < restarts; ++restart) {
-    if (restart > 0 && guard.DeadlineExpired()) break;
-    MC_METRIC_COUNT("altspace.dec_kmeans.restarts", 1);
-    const DecResume* resume =
-        (resume_mid && restart == start_restart) ? &state.seed : nullptr;
-    const DecPersistFn persist =
-        ck == nullptr
-            ? DecPersistFn()
-            : [&](size_t next_iter, const State& s,
-                  const std::vector<double>& history, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = restart;
-                  state.mid_restart = true;
-                  state.seed.start_iter = next_iter;
-                  state.seed.state = s;
-                  state.seed.history = history;
-                });
-              };
-    Result<RestartOutcome> run = RunRestart(data, options, &state.rng, &guard,
-                                            restart, &recorder, resume,
-                                            persist);
-    if (!run.ok()) {
-      if (run.status().code() == StatusCode::kCancelled ||
-          run.status().code() == StatusCode::kAborted) {
-        return run.status();
-      }
-      state.last_error = run.status();
-    } else {
-      const double final_obj = run->history.back();
-      if (!state.have_best || final_obj < state.best_objective) {
-        state.best_objective = final_obj;
-        state.best = std::move(*run);
-        state.have_best = true;
-        state.winner = restart;
-        recorder.SetWinner(restart);
-      }
-    }
-    if (ck != nullptr && restart + 1 < restarts) {
-      state.restart = restart + 1;
-      state.mid_restart = false;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
-  RestartOutcome& best = state.best;
-  const double best_objective = state.best_objective;
-  recorder.Finish("dec-kmeans", best.iterations, best.converged);
+  // One shared stream feeds every restart's initialisation seeds and
+  // reseeds, so restarts draw from it directly.
+  MC_ASSIGN_OR_RETURN(
+      RestartOutcome best,
+      run.Restarts(
+          std::max<size_t>(options.restarts, 1),
+          [&](size_t r, DecResume* resume) {
+            MC_METRIC_COUNT("altspace.dec_kmeans.restarts", 1);
+            return RunRestart(data, options, &run.state.rng, run, r, resume);
+          },
+          [](const RestartOutcome& a, const RestartOutcome& b) {
+            return a.history.back() < b.history.back();
+          }));
+  run.Finish(best.iterations, best.converged);
 
   DecKMeansResult result;
-  result.objective = best_objective;
+  result.objective = best.history.back();
   result.history = std::move(best.history);
   result.iterations = best.iterations;
   result.converged = best.converged;

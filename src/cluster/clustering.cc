@@ -1,9 +1,19 @@
 #include "cluster/clustering.h"
 
+#include "common/checkpoint.h"
 #include "linalg/kernels.h"
 #include "stats/contingency.h"
 
 namespace multiclust {
+
+void Clustering::Visit(ckpt::Archive& ar) {
+  ar.Field("labels", labels)
+      .Field("centroids", centroids)
+      .Field("quality", quality)
+      .Field("algorithm", algorithm)
+      .Field("iterations", iterations)
+      .Field("converged", converged);
+}
 
 size_t Clustering::NumClusters() const {
   std::vector<int> dense;

@@ -10,6 +10,10 @@
 
 namespace multiclust {
 
+namespace ckpt {
+class Archive;
+}  // namespace ckpt
+
 /// A single clustering solution: one label per object (-1 = noise), plus
 /// optional centroids and an algorithm-specific quality score. This is the
 /// `Clust_i` of the tutorial's abstract problem definition (slide 27).
@@ -39,6 +43,9 @@ struct Clustering {
 
   /// Relabels `labels` to dense 0..k-1 ids in place (noise preserved).
   void Canonicalize();
+
+  /// Bit-exact checkpoint serialization (see ckpt::Archive).
+  void Visit(ckpt::Archive& ar);
 };
 
 /// Abstract base for algorithms producing one clustering from a data

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 
 #include "cluster/kmeans.h"
-#include "common/checkpoint.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -242,75 +241,42 @@ Result<double> EmStep(const Matrix& data, double variance_floor,
   return ll;
 }
 
-void WriteGmmModelCkpt(json::Writer* w, const GmmModel& model) {
-  w->BeginObject();
-  w->Key("components");
-  w->BeginArray();
-  for (const GmmComponent& c : model.components) {
-    w->BeginObject();
-    w->Key("w");
-    w->Double(c.weight);
-    w->Key("m");
-    ckpt::WriteDoubleVector(w, c.mean);
-    w->Key("v");
-    ckpt::WriteDoubleVector(w, c.variances);
-    w->EndObject();
-  }
-  w->EndArray();
-  w->Key("ll");
-  w->Double(model.log_likelihood);
-  w->Key("iterations");
-  w->Uint(model.iterations);
-  w->Key("converged");
-  w->Bool(model.converged);
-  w->EndObject();
+void GmmComponent::Visit(ckpt::Archive& ar) {
+  ar.Field("w", weight).Field("m", mean).Field("v", variances);
 }
 
-Result<GmmModel> ReadGmmModelCkpt(const json::Value& v) {
-  GmmModel model;
-  MC_ASSIGN_OR_RETURN(const json::Value* comps, ckpt::Field(v, "components"));
-  if (!comps->is_array()) {
-    return Status::ComputationError("checkpoint: GMM components not an array");
-  }
-  for (const json::Value& c : comps->array_items()) {
-    GmmComponent comp;
-    MC_ASSIGN_OR_RETURN(comp.weight, ckpt::NumberField(c, "w"));
-    MC_ASSIGN_OR_RETURN(const json::Value* m, ckpt::Field(c, "m"));
-    MC_ASSIGN_OR_RETURN(comp.mean, ckpt::ReadDoubleVector(*m));
-    MC_ASSIGN_OR_RETURN(const json::Value* var, ckpt::Field(c, "v"));
-    MC_ASSIGN_OR_RETURN(comp.variances, ckpt::ReadDoubleVector(*var));
-    model.components.push_back(std::move(comp));
-  }
-  MC_ASSIGN_OR_RETURN(model.log_likelihood, ckpt::NumberField(v, "ll"));
-  MC_ASSIGN_OR_RETURN(model.iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(model.converged, ckpt::BoolField(v, "converged"));
-  return model;
+void GmmModel::Visit(ckpt::Archive& ar) {
+  ar.Field("components", components)
+      .Field("ll", log_likelihood)
+      .Field("iterations", iterations)
+      .Field("converged", converged);
 }
 
 namespace {
 
-/// Mid-restart resume state / per-iteration persistence hook of one EM
-/// restart; see the k-means equivalents for the protocol.
+/// Mid-restart resume point of one EM restart; see the k-means equivalent.
 struct GmmSeed {
   size_t start_iter = 0;
   GmmModel model;
   bool has_prev = false;
   double prev_ll = 0.0;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("next_iter", start_iter)
+        .Field("model", model)
+        .Field("has_prev", has_prev)
+        .Field("prev_ll", prev_ll);
+  }
 };
 
-using GmmPersistFn = std::function<Status(size_t next_iter,
-                                          const GmmModel& model,
-                                          bool has_prev, double prev_ll,
-                                          bool flush)>;
+using GmmRun = IterativeRun<RestartState<GmmSeed, GmmModel>>;
 
 // One EM restart under the shared budget tracker. Returns
 // kComputationError on a non-finite log-likelihood (numerical degeneracy
 // or an injected fault), kCancelled on cooperative cancellation.
 Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
-                            uint64_t seed, BudgetTracker* guard,
-                            size_t restart, ConvergenceRecorder* recorder,
-                            const GmmSeed* resume,
-                            const GmmPersistFn& persist) {
+                            uint64_t seed, GmmRun& run, size_t restart,
+                            const GmmSeed* resume) {
   GmmModel model;
   double prev_ll = -std::numeric_limits<double>::infinity();
   size_t start_iter = 0;
@@ -322,14 +288,20 @@ Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
     MC_ASSIGN_OR_RETURN(
         model, InitGmm(data, options.k, options.covariance, seed));
   }
+  const auto seed_at = [&](size_t next_iter) {
+    return [&, next_iter](GmmSeed& s) {
+      s.start_iter = next_iter;
+      s.model = model;
+      s.has_prev = std::isfinite(prev_ll);
+      s.prev_ll = s.has_prev ? prev_ll : 0.0;
+    };
+  };
   for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
-    if (guard->Cancelled()) {
-      if (persist) {
-        persist(iter, model, std::isfinite(prev_ll), prev_ll, /*flush=*/true);
-      }
-      return guard->CancelledStatus();
+    if (run.guard().Cancelled()) {
+      run.FlushSeed(restart, seed_at(iter));
+      return run.guard().CancelledStatus();
     }
-    if (guard->ShouldStop(iter)) break;
+    if (run.guard().ShouldStop(iter)) break;
     MC_METRIC_COUNT("cluster.gmm.iterations", 1);
     MULTICLUST_TRACE_SPAN("cluster.gmm.em_step");
     MC_ASSIGN_OR_RETURN(double ll,
@@ -348,7 +320,7 @@ Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
           "GMM-EM: non-finite log-likelihood at iteration " +
           std::to_string(iter));
     }
-    if (recorder->enabled()) {
+    if (run.recorder().enabled()) {
       // Dead components survive with a floor weight (see MStep); count
       // them as this iteration's degeneracy recoveries.
       size_t dead = 0;
@@ -356,7 +328,7 @@ Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
         if (c.weight <= 1e-8) ++dead;
       }
       const double delta = std::isfinite(prev_ll) ? ll - prev_ll : 0.0;
-      recorder->Record(restart, iter, ll, delta, dead);
+      run.recorder().Record(restart, iter, ll, delta, dead);
     }
     if (std::isfinite(prev_ll) &&
         std::fabs(ll - prev_ll) <= options.tol * (std::fabs(prev_ll) + 1.0) &&
@@ -365,92 +337,10 @@ Result<GmmModel> FitGmmOnce(const Matrix& data, const GmmOptions& options,
       break;
     }
     prev_ll = ll;
-    if (persist) {
-      MC_RETURN_IF_ERROR(persist(iter + 1, model, /*has_prev=*/true, prev_ll,
-                                 /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(run.PersistSeed(restart, seed_at(iter + 1)));
   }
   model.log_likelihood = model.TotalLogLikelihood(data);
   return model;
-}
-
-// Whole-invocation checkpoint state of FitGmm (restart loop level).
-struct GmmCkptState {
-  size_t step = 0;
-  size_t restart = 0;
-  Rng outer_rng;
-  size_t winner = 0;
-  bool have_best = false;
-  GmmModel best;
-  double best_ll = -std::numeric_limits<double>::infinity();
-  Status last_error = Status::OK();
-  ConvergenceTrace trace;
-  bool mid_restart = false;
-  GmmSeed seed;
-};
-
-void WriteGmmPayload(json::Writer* w, const GmmCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("outer_rng");
-  ckpt::WriteRng(w, s.outer_rng);
-  w->Key("winner");
-  w->Uint(s.winner);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best");
-    WriteGmmModelCkpt(w, s.best);
-    w->Key("best_ll");
-    w->Double(s.best_ll);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("model");
-    WriteGmmModelCkpt(w, s.seed.model);
-    w->Key("has_prev");
-    w->Bool(s.seed.has_prev);
-    w->Key("prev_ll");
-    w->Double(s.seed.has_prev ? s.seed.prev_ll : 0.0);
-  }
-  w->EndObject();
-}
-
-Status ReadGmmPayload(const json::Value& v, GmmCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* outer, ckpt::Field(v, "outer_rng"));
-  MC_ASSIGN_OR_RETURN(s->outer_rng, ckpt::ReadRng(*outer));
-  MC_ASSIGN_OR_RETURN(s->winner, ckpt::SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* best, ckpt::Field(v, "best"));
-    MC_ASSIGN_OR_RETURN(s->best, ReadGmmModelCkpt(*best));
-    MC_ASSIGN_OR_RETURN(s->best_ll, ckpt::NumberField(v, "best_ll"));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* m, ckpt::Field(v, "model"));
-    MC_ASSIGN_OR_RETURN(s->seed.model, ReadGmmModelCkpt(*m));
-    MC_ASSIGN_OR_RETURN(s->seed.has_prev, ckpt::BoolField(v, "has_prev"));
-    MC_ASSIGN_OR_RETURN(s->seed.prev_ll, ckpt::NumberField(v, "prev_ll"));
-  }
-  return Status::OK();
 }
 
 uint64_t GmmFingerprint(const Matrix& data, const GmmOptions& options) {
@@ -478,109 +368,35 @@ Result<GmmModel> FitGmm(const Matrix& data, const GmmOptions& options) {
   }
   MC_RETURN_IF_ERROR(ValidateMatrix("GMM-EM", data));
   MULTICLUST_TRACE_SPAN("cluster.gmm.fit");
-  BudgetTracker guard(options.budget, "gmm");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
-  Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? GmmFingerprint(data, options) : 0;
+  GmmRun run("gmm", options.budget, options.diagnostics, options.max_iters);
+  run.state.rng = Rng(options.seed);
+  run.Restore([&] { return GmmFingerprint(data, options); },
+              [](const auto&) { return true; });
 
-  GmmCkptState state;
-  state.outer_rng = Rng(options.seed);
-  bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored = ck->TryRestore("gmm", fp, options.diagnostics)) {
-      GmmCkptState loaded;
-      const Status parsed = ReadGmmPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-          options.diagnostics->trace.winning_restart = state.winner;
-        }
-      } else {
-        AddWarning(options.diagnostics, "gmm",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
-    }
-  }
-  // `prepare` defers the model/trace copies to the moment a snapshot is
-  // actually serialized — an armed-but-not-due persistence point pays only
-  // the policy check.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
-      if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteGmmPayload(w, state);
-    };
-    const Status st = flush
-                          ? ck->Flush("gmm", fp, payload)
-                          : ck->AtPersistencePoint("gmm", fp, state.step,
-                                                   payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  const size_t start_restart = state.restart;
-  for (size_t r = start_restart; r < restarts; ++r) {
-    uint64_t restart_seed = 0;
-    if (!(resume_mid && r == start_restart)) {
-      restart_seed = state.outer_rng.NextU64();
-    }
-    if (r > 0 && guard.DeadlineExpired()) break;
-    MC_METRIC_COUNT("cluster.gmm.restarts", 1);
-    const GmmSeed* seed =
-        (resume_mid && r == start_restart) ? &state.seed : nullptr;
-    const GmmPersistFn persist =
-        ck == nullptr
-            ? GmmPersistFn()
-            : [&](size_t next_iter, const GmmModel& model, bool has_prev,
-                  double prev_ll, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = r;
-                  state.mid_restart = true;
-                  state.seed.start_iter = next_iter;
-                  state.seed.model = model;
-                  state.seed.has_prev = has_prev;
-                  state.seed.prev_ll = prev_ll;
-                });
-              };
-    Result<GmmModel> model = FitGmmOnce(data, options, restart_seed, &guard,
-                                        r, &recorder, seed, persist);
-    if (!model.ok()) {
-      if (model.status().code() == StatusCode::kCancelled ||
-          model.status().code() == StatusCode::kAborted) {
-        return model.status();
-      }
-      state.last_error = model.status();
-    } else if (!std::isfinite(model->log_likelihood)) {
-      state.last_error = Status::ComputationError(
-          "GMM-EM: non-finite final log-likelihood");
-    } else if (!state.have_best || model->log_likelihood > state.best_ll) {
-      state.best_ll = model->log_likelihood;
-      state.best = std::move(*model);
-      state.have_best = true;
-      state.winner = r;
-      recorder.SetWinner(r);
-    }
-    if (ck != nullptr && r + 1 < restarts) {
-      state.restart = r + 1;
-      state.mid_restart = false;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
-  recorder.Finish("gmm", state.best.iterations, state.best.converged);
-  return std::move(state.best);
+  // Each fresh restart draws its EM seed from the outer stream; an
+  // interrupted restart resumes from its saved model instead.
+  MC_ASSIGN_OR_RETURN(
+      GmmModel best,
+      run.Restarts(
+          std::max<size_t>(options.restarts, 1),
+          [&](size_t r, GmmSeed* resume) -> Result<GmmModel> {
+            const uint64_t seed =
+                resume != nullptr ? 0 : run.state.rng.NextU64();
+            MC_METRIC_COUNT("cluster.gmm.restarts", 1);
+            MC_ASSIGN_OR_RETURN(GmmModel model,
+                                FitGmmOnce(data, options, seed, run, r,
+                                           resume));
+            if (!std::isfinite(model.log_likelihood)) {
+              return Status::ComputationError(
+                  "GMM-EM: non-finite final log-likelihood");
+            }
+            return model;
+          },
+          [](const GmmModel& a, const GmmModel& b) {
+            return a.log_likelihood > b.log_likelihood;
+          }));
+  run.Finish(best.iterations, best.converged);
+  return best;
 }
 
 Result<Clustering> RunGmm(const Matrix& data, const GmmOptions& options) {

@@ -12,6 +12,10 @@
 
 namespace multiclust {
 
+namespace ckpt {
+class Archive;
+}  // namespace ckpt
+
 /// Covariance structure of mixture components.
 enum class CovarianceType {
   kSpherical,  ///< sigma^2 * I
@@ -33,6 +37,9 @@ struct GmmComponent {
   double LogDensity(const double* x, double logdet) const;
   /// sum_j log var_j for this component (d * log var when spherical).
   double PrecomputeLogDet(size_t d) const;
+
+  /// Bit-exact checkpoint serialization (see ckpt::Archive).
+  void Visit(ckpt::Archive& ar);
 };
 
 /// A fitted Gaussian mixture model. Reused by CAMI and co-EM, which run
@@ -58,6 +65,10 @@ struct GmmModel {
 
   /// Total data log-likelihood sum_i log p(x_i).
   double TotalLogLikelihood(const Matrix& data) const;
+
+  /// Bit-exact checkpoint serialization, shared by the GMM and co-EM
+  /// payloads.
+  void Visit(ckpt::Archive& ar);
 };
 
 /// Options for EM fitting.
@@ -102,17 +113,6 @@ Status MStepFromResponsibilities(const Matrix& data,
 /// global variances, uniform weights).
 Result<GmmModel> InitGmm(const Matrix& data, size_t k, CovarianceType cov,
                          uint64_t seed);
-
-namespace json {
-class Writer;
-class Value;
-}  // namespace json
-
-/// Bit-exact checkpoint (de)serialization of a GmmModel (weights, means,
-/// variances, iteration bookkeeping) — shared by the GMM and co-EM
-/// checkpoint payloads.
-void WriteGmmModelCkpt(json::Writer* w, const GmmModel& model);
-Result<GmmModel> ReadGmmModelCkpt(const json::Value& v);
 
 /// `Clusterer` adapter.
 class GmmClusterer : public Clusterer {

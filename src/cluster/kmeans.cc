@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 
-#include "common/checkpoint.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/profile.h"
@@ -36,14 +35,6 @@ std::vector<double> RowSquaredNorms(const Matrix& m) {
   return norms;
 }
 
-// Row-major float32 copy of a matrix (the opt-in low-precision path).
-std::vector<float> ToFloat32(const Matrix& m) {
-  std::vector<float> out(m.rows() * m.cols());
-  const double* src = m.row_data(0);
-  for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<float>(src[i]);
-  return out;
-}
-
 // Exact-form SSE via deterministic chunked reduction (fixed grain), so the
 // objective is bit-identical for any thread count.
 double SseOf(const Matrix& data, const Matrix& centers,
@@ -60,12 +51,7 @@ double SseOf(const Matrix& data, const Matrix& centers,
       [](double a, double b) { return a + b; });
 }
 
-// `data_f32` is non-null on the opt-in float32 path: the D^2 scans then
-// run in f32 against an f32 copy of the latest centre (the sampled
-// sequence depends on the precision, but stays deterministic for a fixed
-// setting).
-Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng,
-                   const std::vector<float>* data_f32) {
+Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng) {
   MULTICLUST_TRACE_SPAN("cluster.kmeans.init");
   const size_t n = data.rows();
   const size_t d = data.cols();
@@ -80,20 +66,10 @@ Matrix InitCenters(const Matrix& data, size_t k, bool plus_plus, Rng* rng,
   // parallelize without affecting the sampled sequence.
   centers.CopyRowFrom(data, rng->NextIndex(n), 0);
   std::vector<double> d2(n, std::numeric_limits<double>::infinity());
-  std::vector<float> ctr_f32(data_f32 != nullptr ? d : 0);
   for (size_t c = 1; c < k; ++c) {
-    if (data_f32 != nullptr) {
-      const double* ctr = centers.row_data(c - 1);
-      for (size_t j = 0; j < d; ++j) ctr_f32[j] = static_cast<float>(ctr[j]);
-    }
     ParallelFor(0, n, 512, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
-        const double dist =
-            data_f32 != nullptr
-                ? static_cast<double>(kernels::SquaredDistanceF(
-                      data_f32->data() + i * d, ctr_f32.data(), d))
-                : RowCenterDist2(data, i, centers, c - 1);
-        d2[i] = std::min(d2[i], dist);
+        d2[i] = std::min(d2[i], RowCenterDist2(data, i, centers, c - 1));
       }
     });
     centers.CopyRowFrom(data, rng->Categorical(d2), c);
@@ -107,32 +83,40 @@ struct LloydResult {
   double sse = 0.0;
   size_t iterations = 0;
   bool converged = false;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("labels", labels)
+        .Field("centers", centers)
+        .Field("sse", sse)
+        .Field("iterations", iterations)
+        .Field("converged", converged);
+  }
 };
 
-/// Mid-restart resume state: continue the Lloyd loop of one restart from a
+/// Mid-restart resume point: continue the Lloyd loop of one restart from a
 /// checkpointed iteration boundary instead of (re)initialising centres.
 struct LloydSeed {
   size_t start_iter = 0;
   Matrix centers;
   std::vector<int> labels;
+  Rng rng;  ///< the restart's own stream at that boundary
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("next_iter", start_iter)
+        .Field("centers", centers)
+        .Field("labels", labels)
+        .Field("rng", rng);
+  }
 };
 
-/// Called at the end of every non-final outer iteration (and on the
-/// cancellation path with `flush` set) so RunKMeans can persist the full
-/// run state. `next_iter` is the iteration a resumed run executes next.
-using LloydPersistFn = std::function<Status(size_t next_iter,
-                                            const LloydResult& current,
-                                            const Rng& child, bool flush)>;
+using KMeansRun = IterativeRun<RestartState<LloydSeed, LloydResult>>;
 
-Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
-                             double tol, bool plus_plus, Rng* rng,
-                             BudgetTracker* guard, size_t restart,
-                             ConvergenceRecorder* recorder,
-                             const LloydSeed* resume,
-                             const LloydPersistFn& persist,
-                             const std::vector<float>* data_f32) {
+Result<LloydResult> RunLloyd(const Matrix& data, const KMeansOptions& options,
+                             Rng* rng, KMeansRun& run, size_t restart,
+                             const LloydSeed* resume) {
   const size_t n = data.rows();
   const size_t d = data.cols();
+  const size_t k = options.k;
   LloydResult r;
   size_t start_iter = 0;
   if (resume != nullptr) {
@@ -141,36 +125,29 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
     start_iter = resume->start_iter;
     r.iterations = start_iter;
   } else {
-    r.centers = InitCenters(data, k, plus_plus, rng, data_f32);
+    r.centers = InitCenters(data, k, options.plus_plus_init, rng);
     r.labels.assign(n, 0);
   }
-  const std::vector<double> x_norms =
-      data_f32 != nullptr ? std::vector<double>() : RowSquaredNorms(data);
+  const std::vector<double> x_norms = RowSquaredNorms(data);
+  // Records where a resumed run continues: iteration `next_iter` of this
+  // restart, from the current centres/labels and stream position.
+  const auto seed_at = [&](size_t next_iter) {
+    return [&r, rng, next_iter](LloydSeed& seed) {
+      seed.start_iter = next_iter;
+      seed.centers = r.centers;
+      seed.labels = r.labels;
+      seed.rng = *rng;
+    };
+  };
 
-  for (size_t iter = start_iter; iter < max_iters; ++iter) {
-    if (guard->Cancelled()) {
-      if (persist) persist(iter, r, *rng, /*flush=*/true);
-      return guard->CancelledStatus();
+  for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
+    if (run.guard().Cancelled()) {
+      run.FlushSeed(restart, seed_at(iter));
+      return run.guard().CancelledStatus();
     }
-    if (guard->ShouldStop(iter)) break;
+    if (run.guard().ShouldStop(iter)) break;
     MC_METRIC_COUNT("cluster.kmeans.iterations", 1);
-    if (data_f32 != nullptr) {
-      MULTICLUST_TRACE_SPAN("cluster.kmeans.assign");
-      // Opt-in float32 assignment: plain squared-distance form (the norm
-      // form cancels catastrophically in f32). Labels are written per
-      // point, so the step is bit-identical for any thread count.
-      const std::vector<float> centers_f32 = ToFloat32(r.centers);
-      ParallelFor(0, n, 256, [&](size_t lo, size_t hi) {
-        // Telemetry FLOP tally per chunk (never per point): 3 flops per
-        // element of the k x d distance scan over hi - lo points.
-        telemetry::CountFlops(3 * (hi - lo) * k * d,
-                              (hi - lo) * d * sizeof(float));
-        for (size_t i = lo; i < hi; ++i) {
-          r.labels[i] = kernels::NearestSquaredF(
-              data_f32->data() + i * d, centers_f32.data(), k, d);
-        }
-      });
-    } else {
+    {
       MULTICLUST_TRACE_SPAN("cluster.kmeans.assign");
       // Assignment step in the norm form ||x||^2 - 2 x.c + ||c||^2: the
       // inner loop is a plain dot product. Labels are written per point,
@@ -189,7 +166,6 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
         }
       });
     }
-    // Update step (always float64, also on the float32 assignment path).
     MULTICLUST_TRACE_SPAN("cluster.kmeans.update");
     Matrix next(k, d);
     std::vector<size_t> counts(k, 0);
@@ -225,119 +201,23 @@ Result<LloydResult> RunLloyd(const Matrix& data, size_t k, size_t max_iters,
           "k-means: non-finite centre shift at iteration " +
           std::to_string(iter));
     }
-    if (recorder->enabled()) {
-      recorder->Record(restart, iter, SseOf(data, r.centers, r.labels),
-                       shift, reseeds);
+    if (run.recorder().enabled()) {
+      run.recorder().Record(restart, iter, SseOf(data, r.centers, r.labels),
+                            shift, reseeds);
     }
-    if (shift <= tol &&
+    if (shift <= options.tol &&
         !MC_FAULT_FIRES("kmeans", FaultKind::kForceNonConvergence, iter)) {
       r.converged = true;
       break;
     }
     // Persistence point: this restart continues, so a resumed run picks up
-    // at iter + 1. The restart-boundary snapshot in RunKMeans covers the
+    // at iter + 1. IterativeRun's restart-boundary snapshot covers the
     // converged/exhausted exits.
-    if (persist) {
-      MC_RETURN_IF_ERROR(persist(iter + 1, r, *rng, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(run.PersistSeed(restart, seed_at(iter + 1)));
   }
 
   r.sse = SseOf(data, r.centers, r.labels);
   return r;
-}
-
-// Shared checkpoint state of one RunKMeans invocation: everything outside
-// the Lloyd loop that shapes the remaining computation.
-struct KMeansCkptState {
-  size_t step = 0;          ///< monotonic persistence-point counter
-  size_t restart = 0;       ///< restart to run (or resume) next
-  Rng outer_rng;            ///< stream position after this restart's Split
-  size_t winner = 0;
-  bool have_best = false;
-  LloydResult best;
-  Status last_error = Status::OK();
-  ConvergenceTrace trace;
-  bool mid_restart = false;  ///< payload carries LloydSeed + child rng
-  Rng child_rng;
-  LloydSeed seed;
-};
-
-void WriteKMeansPayload(json::Writer* w, const KMeansCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("outer_rng");
-  ckpt::WriteRng(w, s.outer_rng);
-  w->Key("winner");
-  w->Uint(s.winner);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best_labels");
-    ckpt::WriteIntVector(w, s.best.labels);
-    w->Key("best_centers");
-    ckpt::WriteMatrix(w, s.best.centers);
-    w->Key("best_sse");
-    w->Double(s.best.sse);
-    w->Key("best_iterations");
-    w->Uint(s.best.iterations);
-    w->Key("best_converged");
-    w->Bool(s.best.converged);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("child_rng");
-    ckpt::WriteRng(w, s.child_rng);
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("centers");
-    ckpt::WriteMatrix(w, s.seed.centers);
-    w->Key("labels");
-    ckpt::WriteIntVector(w, s.seed.labels);
-  }
-  w->EndObject();
-}
-
-Status ReadKMeansPayload(const json::Value& v, KMeansCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* outer, ckpt::Field(v, "outer_rng"));
-  MC_ASSIGN_OR_RETURN(s->outer_rng, ckpt::ReadRng(*outer));
-  MC_ASSIGN_OR_RETURN(s->winner, ckpt::SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* bl, ckpt::Field(v, "best_labels"));
-    MC_ASSIGN_OR_RETURN(s->best.labels, ckpt::ReadIntVector(*bl));
-    MC_ASSIGN_OR_RETURN(const json::Value* bc, ckpt::Field(v, "best_centers"));
-    MC_ASSIGN_OR_RETURN(s->best.centers, ckpt::ReadMatrix(*bc));
-    MC_ASSIGN_OR_RETURN(s->best.sse, ckpt::NumberField(v, "best_sse"));
-    MC_ASSIGN_OR_RETURN(s->best.iterations,
-                        ckpt::SizeField(v, "best_iterations"));
-    MC_ASSIGN_OR_RETURN(s->best.converged,
-                        ckpt::BoolField(v, "best_converged"));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(const json::Value* child, ckpt::Field(v, "child_rng"));
-    MC_ASSIGN_OR_RETURN(s->child_rng, ckpt::ReadRng(*child));
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* c, ckpt::Field(v, "centers"));
-    MC_ASSIGN_OR_RETURN(s->seed.centers, ckpt::ReadMatrix(*c));
-    MC_ASSIGN_OR_RETURN(const json::Value* l, ckpt::Field(v, "labels"));
-    MC_ASSIGN_OR_RETURN(s->seed.labels, ckpt::ReadIntVector(*l));
-  }
-  return Status::OK();
 }
 
 uint64_t KMeansFingerprint(const Matrix& data, const KMeansOptions& options) {
@@ -347,9 +227,6 @@ uint64_t KMeansFingerprint(const Matrix& data, const KMeansOptions& options) {
   fp.Mix(static_cast<uint64_t>(options.max_iters));
   fp.MixDouble(options.tol);
   fp.Mix(static_cast<uint64_t>(options.plus_plus_init ? 1 : 0));
-  // The float32 assignment path changes labels/centre trajectories, so a
-  // checkpoint from one precision must not resume a run of the other.
-  fp.Mix(static_cast<uint64_t>(options.assign_float32 ? 1 : 0));
   fp.Mix(static_cast<uint64_t>(options.restarts));
   fp.Mix(options.seed);
   fp.Mix(static_cast<uint64_t>(options.budget.max_iterations));
@@ -367,130 +244,34 @@ Result<Clustering> RunKMeans(const Matrix& data,
   }
   MC_RETURN_IF_ERROR(ValidateMatrix("k-means", data));
   MULTICLUST_TRACE_SPAN("cluster.kmeans.run");
-  BudgetTracker guard(options.budget, "kmeans");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
-  Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? KMeansFingerprint(data, options) : 0;
+  KMeansRun run("kmeans", options.budget, options.diagnostics,
+                options.max_iters);
+  run.state.rng = Rng(options.seed);
+  run.Restore([&] { return KMeansFingerprint(data, options); },
+              [](const auto&) { return true; });
 
-  KMeansCkptState state;
-  state.outer_rng = Rng(options.seed);
-  state.best.sse = std::numeric_limits<double>::infinity();
-  bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored = ck->TryRestore("kmeans", fp, options.diagnostics)) {
-      KMeansCkptState loaded;
-      const Status parsed = ReadKMeansPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-          options.diagnostics->trace.winning_restart = state.winner;
-        }
-      } else {
-        AddWarning(options.diagnostics, "kmeans",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
-    }
-  }
-
-  // One snapshot writer serves the mid-restart persistence points and the
-  // restart boundaries. `prepare` captures the expensive volatile state
-  // (centers, labels, trace) and runs only when the policy actually
-  // serializes a snapshot, so an armed-but-not-due persistence point costs
-  // a policy check and nothing else.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
-      if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteKMeansPayload(w, state);
-    };
-    const Status st = flush ? ck->Flush("kmeans", fp, payload)
-                            : ck->AtPersistencePoint("kmeans", fp,
-                                                     state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  // Materialize the f32 copy once for all restarts on the opt-in path.
-  std::vector<float> data_f32_storage;
-  const std::vector<float>* data_f32 = nullptr;
-  if (options.assign_float32) {
-    data_f32_storage = ToFloat32(data);
-    data_f32 = &data_f32_storage;
-  }
-  const size_t start_restart = state.restart;
-  for (size_t r = start_restart; r < restarts; ++r) {
-    Rng child;
-    if (resume_mid && r == start_restart) {
-      child = state.child_rng;
-    } else {
-      child = state.outer_rng.Split();
-    }
-    if (r > 0 && guard.DeadlineExpired()) break;
-    MC_METRIC_COUNT("cluster.kmeans.restarts", 1);
-    const LloydSeed* seed =
-        (resume_mid && r == start_restart) ? &state.seed : nullptr;
-    const LloydPersistFn persist =
-        ck == nullptr
-            ? LloydPersistFn()
-            : [&](size_t next_iter, const LloydResult& current,
-                  const Rng& child_now, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = r;
-                  state.mid_restart = true;
-                  state.child_rng = child_now;
-                  state.seed.start_iter = next_iter;
-                  state.seed.centers = current.centers;
-                  state.seed.labels = current.labels;
-                });
-              };
-    Result<LloydResult> run =
-        RunLloyd(data, options.k, options.max_iters, options.tol,
-                 options.plus_plus_init, &child, &guard, r, &recorder, seed,
-                 persist, data_f32);
-    if (!run.ok()) {
-      // Cancellation (and a simulated crash) aborts the whole call; a
-      // numerically degenerate restart is skipped — the remaining restarts
-      // still compete.
-      if (run.status().code() == StatusCode::kCancelled ||
-          run.status().code() == StatusCode::kAborted) {
-        return run.status();
-      }
-      state.last_error = run.status();
-    } else if (!state.have_best || run->sse < state.best.sse) {
-      state.best = std::move(*run);
-      state.have_best = true;
-      state.winner = r;
-      recorder.SetWinner(r);
-    }
-    if (ck != nullptr && r + 1 < restarts) {
-      // Restart boundary: the next persistence point starts restart r + 1
-      // fresh (covers the converged / exhausted / skipped exits).
-      state.restart = r + 1;
-      state.mid_restart = false;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
-  recorder.Finish("kmeans", state.best.iterations, state.best.converged);
+  // Each restart runs on its own child stream split off the outer one; an
+  // interrupted restart resumes on the child stream saved in its seed.
+  MC_ASSIGN_OR_RETURN(
+      LloydResult best,
+      run.Restarts(
+          std::max<size_t>(options.restarts, 1),
+          [&](size_t r, LloydSeed* resume) {
+            Rng child = resume != nullptr ? resume->rng : run.state.rng.Split();
+            MC_METRIC_COUNT("cluster.kmeans.restarts", 1);
+            return RunLloyd(data, options, &child, run, r, resume);
+          },
+          [](const LloydResult& a, const LloydResult& b) {
+            return a.sse < b.sse;
+          }));
+  run.Finish(best.iterations, best.converged);
   Clustering c;
-  c.labels = std::move(state.best.labels);
-  c.centroids = std::move(state.best.centers);
-  c.quality = state.best.sse;
+  c.labels = std::move(best.labels);
+  c.centroids = std::move(best.centers);
+  c.quality = best.sse;
   c.algorithm = "kmeans";
-  c.iterations = state.best.iterations;
-  c.converged = state.best.converged;
+  c.iterations = best.iterations;
+  c.converged = best.converged;
   return c;
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cmath>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -534,255 +535,155 @@ Result<uint64_t> ReadU64(const json::Value& v) {
   return parsed;
 }
 
-Result<const json::Value*> Field(const json::Value& v, const char* key) {
-  const json::Value* f = v.Find(key);
-  if (f == nullptr) {
-    return Status::ComputationError(std::string("checkpoint: missing field '") +
-                                    key + "'");
+void Archive::Fail(const char* what) {
+  if (status_.ok()) {
+    status_ = Status::ComputationError(std::string("checkpoint: field '") +
+                                       key_ + "' is " + what);
   }
-  return f;
 }
 
-Result<double> NumberField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, Field(v, key));
-  if (!f->is_number()) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is not a number");
+void Archive::Object(FunctionRef<void()> body) {
+  if (!reading()) {
+    out_->BeginObject();
+    body();
+    out_->EndObject();
+  } else if (in_->is_object()) {
+    body();
+  } else {
+    Fail("not an object");
   }
-  return f->number_value();
 }
 
-Result<bool> BoolField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, Field(v, key));
-  if (!f->is_bool()) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is not a bool");
+void Archive::Array(size_t size, FunctionRef<void(size_t)> resize,
+                    FunctionRef<void(size_t)> element) {
+  if (!reading()) {
+    out_->BeginArray();
+    for (size_t i = 0; i < size; ++i) element(i);
+    out_->EndArray();
+    return;
   }
-  return f->bool_value();
+  if (!in_->is_array()) return Fail("not an array");
+  const json::Value* outer = in_;
+  const std::vector<json::Value>& items = outer->array_items();
+  resize(items.size());
+  for (size_t i = 0; i < items.size() && status_.ok(); ++i) {
+    in_ = &items[i];
+    element(i);
+  }
+  in_ = outer;
 }
 
-Result<uint64_t> U64Field(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, Field(v, key));
-  return ReadU64(*f);
+void Archive::Integer(int64_t* v, int64_t lo, int64_t hi) {
+  if (!reading()) return out_->Int(*v);
+  if (!in_->is_number()) return Fail("not a number");
+  const double x = in_->number_value();
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi)) ||
+      x != std::floor(x)) {
+    return Fail("out of range");
+  }
+  *v = static_cast<int64_t>(x);
 }
 
-Result<size_t> SizeField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(double n, NumberField(v, key));
-  if (n < 0) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is negative");
-  }
-  return static_cast<size_t>(n);
+void Archive::Hex(uint64_t* v) {
+  if (!reading()) return WriteU64(out_, *v);
+  Result<uint64_t> parsed = ReadU64(*in_);
+  if (!parsed.ok()) return Fail("not a hex u64 string");
+  *v = *parsed;
 }
 
-void WriteMatrix(json::Writer* w, const Matrix& m) {
-  w->BeginObject();
-  w->Key("r");
-  w->Uint(m.rows());
-  w->Key("c");
-  w->Uint(m.cols());
-  w->Key("v");
-  w->BeginArray();
-  for (size_t i = 0; i < m.rows(); ++i) {
-    const double* row = m.row_data(i);
-    for (size_t j = 0; j < m.cols(); ++j) w->Double(row[j]);
-  }
-  w->EndArray();
-  w->EndObject();
+void Archive::Scalar(bool& v) {
+  if (!reading()) return out_->Bool(v);
+  if (!in_->is_bool()) return Fail("not a bool");
+  v = in_->bool_value();
 }
 
-Result<Matrix> ReadMatrix(const json::Value& v) {
-  MC_ASSIGN_OR_RETURN(size_t rows, SizeField(v, "r"));
-  MC_ASSIGN_OR_RETURN(size_t cols, SizeField(v, "c"));
-  MC_ASSIGN_OR_RETURN(const json::Value* data, Field(v, "v"));
-  if (!data->is_array() || data->array_items().size() != rows * cols) {
-    return Status::ComputationError("checkpoint: matrix payload shape "
-                                    "mismatch");
+void Archive::Scalar(double& v) {
+  if (!reading()) return out_->Double(v);  // non-finite -> null
+  if (in_->is_null()) {
+    v = std::numeric_limits<double>::quiet_NaN();
+  } else if (in_->is_number()) {
+    v = in_->number_value();
+  } else {
+    Fail("not a number");
   }
-  Matrix m(rows, cols);
-  size_t idx = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    double* row = m.row_data(i);
-    for (size_t j = 0; j < cols; ++j, ++idx) {
-      const json::Value& cell = data->array_items()[idx];
-      if (!cell.is_number()) {
-        return Status::ComputationError("checkpoint: non-numeric matrix cell");
-      }
-      row[j] = cell.number_value();
-    }
-  }
-  return m;
 }
 
-void WriteIntVector(json::Writer* w, const std::vector<int>& v) {
-  w->BeginArray();
-  for (int x : v) w->Int(x);
-  w->EndArray();
+void Archive::Scalar(std::string& v) {
+  if (!reading()) return out_->String(v);
+  if (!in_->is_string()) return Fail("not a string");
+  v = in_->string_value();
 }
 
-Result<std::vector<int>> ReadIntVector(const json::Value& v) {
-  if (!v.is_array()) {
-    return Status::ComputationError("checkpoint: expected int array");
-  }
-  std::vector<int> out;
-  out.reserve(v.array_items().size());
-  for (const json::Value& x : v.array_items()) {
-    if (!x.is_number()) {
-      return Status::ComputationError("checkpoint: non-numeric int entry");
-    }
-    out.push_back(static_cast<int>(x.number_value()));
-  }
-  return out;
+void Archive::Scalar(Matrix& m) {
+  Object([&] {
+    size_t rows = m.rows();
+    size_t cols = m.cols();
+    Field("r", rows).Field("c", cols);
+    Member("v", [&] {
+      Array(
+          rows * cols,
+          [&](size_t n) {
+            if (n == rows * cols) {
+              m = Matrix(rows, cols);
+            } else {
+              Fail("not rows x cols entries");
+            }
+          },
+          [&](size_t i) { Value(m.row_data(i / cols)[i % cols]); });
+    });
+  });
 }
 
-void WriteDoubleVector(json::Writer* w, const std::vector<double>& v) {
-  w->BeginArray();
-  for (double x : v) w->Double(x);
-  w->EndArray();
-}
-
-Result<std::vector<double>> ReadDoubleVector(const json::Value& v) {
-  if (!v.is_array()) {
-    return Status::ComputationError("checkpoint: expected double array");
-  }
-  std::vector<double> out;
-  out.reserve(v.array_items().size());
-  for (const json::Value& x : v.array_items()) {
-    if (!x.is_number() && !x.is_null()) {
-      return Status::ComputationError("checkpoint: non-numeric double entry");
-    }
-    // null encodes NaN/Inf (JSON cannot represent them); algorithms never
-    // checkpoint non-finite state, but stay lossless-by-construction here.
-    out.push_back(x.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                              : x.number_value());
-  }
-  return out;
-}
-
-void WriteSizeVector(json::Writer* w, const std::vector<size_t>& v) {
-  w->BeginArray();
-  for (size_t x : v) w->Uint(x);
-  w->EndArray();
-}
-
-Result<std::vector<size_t>> ReadSizeVector(const json::Value& v) {
-  if (!v.is_array()) {
-    return Status::ComputationError("checkpoint: expected size array");
-  }
-  std::vector<size_t> out;
-  out.reserve(v.array_items().size());
-  for (const json::Value& x : v.array_items()) {
-    if (!x.is_number() || x.number_value() < 0) {
-      return Status::ComputationError("checkpoint: bad size entry");
-    }
-    out.push_back(static_cast<size_t>(x.number_value()));
-  }
-  return out;
-}
-
-void WriteRng(json::Writer* w, const Rng& rng) {
-  const RngState s = rng.SaveState();
-  w->BeginObject();
-  w->Key("s");
-  w->BeginArray();
-  for (uint64_t word : s.words) WriteU64(w, word);
-  w->EndArray();
-  w->Key("g");
-  w->Bool(s.has_cached_gaussian);
-  w->Key("gv");
-  w->Double(s.cached_gaussian);
-  w->EndObject();
-}
-
-Result<Rng> ReadRng(const json::Value& v) {
-  MC_ASSIGN_OR_RETURN(const json::Value* words, Field(v, "s"));
-  if (!words->is_array() || words->array_items().size() != 4) {
-    return Status::ComputationError("checkpoint: RNG state must have 4 words");
-  }
-  RngState s;
-  for (size_t i = 0; i < 4; ++i) {
-    MC_ASSIGN_OR_RETURN(s.words[i], ReadU64(words->array_items()[i]));
-  }
-  MC_ASSIGN_OR_RETURN(s.has_cached_gaussian, BoolField(v, "g"));
-  MC_ASSIGN_OR_RETURN(double cached, NumberField(v, "gv"));
-  s.cached_gaussian = cached;
-  Rng rng;
+void Archive::Scalar(Rng& rng) {
+  RngState s = rng.SaveState();
+  std::vector<uint64_t> words(std::begin(s.words), std::end(s.words));
+  Object([&] {
+    Field("s", words)
+        .Field("g", s.has_cached_gaussian)
+        .Field("gv", s.cached_gaussian);
+  });
+  if (!reading() || !status_.ok()) return;
+  if (words.size() != 4) return Fail("not 4 state words");
+  std::copy(words.begin(), words.end(), s.words);
   rng.RestoreState(s);
-  return rng;
 }
 
-void WriteTrace(json::Writer* w, const ConvergenceTrace& trace) {
-  w->BeginObject();
-  w->Key("winner");
-  w->Uint(trace.winning_restart);
-  w->Key("points");
-  w->BeginArray();
-  for (const ConvergencePoint& p : trace.points) {
-    w->BeginArray();
-    w->Uint(p.restart);
-    w->Uint(p.iteration);
-    w->Double(p.objective);
-    w->Double(p.delta);
-    w->Uint(p.reseeds);
-    w->Double(p.budget_remaining_ms);
-    w->EndArray();
-  }
-  w->EndArray();
-  w->EndObject();
+void Archive::Scalar(Status& status) {
+  StatusCode code = status.code();
+  std::string message = status.message();
+  Object([&] { Field("code", code).Field("msg", message); });
+  if (reading() && status_.ok()) status = Status(code, std::move(message));
 }
 
-Result<ConvergenceTrace> ReadTrace(const json::Value& v) {
-  ConvergenceTrace trace;
-  MC_ASSIGN_OR_RETURN(trace.winning_restart, SizeField(v, "winner"));
-  MC_ASSIGN_OR_RETURN(const json::Value* points, Field(v, "points"));
-  if (!points->is_array()) {
-    return Status::ComputationError("checkpoint: trace points not an array");
-  }
-  for (const json::Value& p : points->array_items()) {
-    if (!p.is_array() || p.array_items().size() != 6) {
-      return Status::ComputationError("checkpoint: malformed trace point");
-    }
-    const auto& cells = p.array_items();
-    for (size_t i = 0; i < 6; ++i) {
-      if (!cells[i].is_number() && !cells[i].is_null()) {
-        return Status::ComputationError("checkpoint: malformed trace point");
-      }
-    }
-    ConvergencePoint point;
-    point.restart = static_cast<size_t>(cells[0].number_value());
-    point.iteration = static_cast<size_t>(cells[1].number_value());
-    point.objective = cells[2].is_null()
-                          ? std::numeric_limits<double>::quiet_NaN()
-                          : cells[2].number_value();
-    point.delta = cells[3].is_null()
-                      ? std::numeric_limits<double>::quiet_NaN()
-                      : cells[3].number_value();
-    point.reseeds = static_cast<size_t>(cells[4].number_value());
-    point.budget_remaining_ms =
-        cells[5].is_null() ? -1.0 : cells[5].number_value();
-    trace.points.push_back(point);
-  }
-  return trace;
+void Archive::Scalar(ConvergencePoint& p) {
+  Object([&] {
+    Field("r", p.restart)
+        .Field("i", p.iteration)
+        .Field("o", p.objective)
+        .Field("d", p.delta)
+        .Field("s", p.reseeds)
+        .Field("b", p.budget_remaining_ms);
+  });
 }
 
-void WriteStatus(json::Writer* w, const Status& status) {
-  w->BeginObject();
-  w->Key("code");
-  w->Int(static_cast<int>(status.code()));
-  w->Key("msg");
-  w->String(status.message());
-  w->EndObject();
+void Archive::Scalar(ConvergenceTrace& trace) {
+  Object([&] {
+    Field("winner", trace.winning_restart).Field("points", trace.points);
+  });
 }
 
-Status ReadStatus(const json::Value& v, Status* out) {
-  MC_ASSIGN_OR_RETURN(double code, NumberField(v, "code"));
-  MC_ASSIGN_OR_RETURN(const json::Value* msg, Field(v, "msg"));
-  if (!msg->is_string()) {
-    return Status::ComputationError("checkpoint: status message not a string");
-  }
-  *out = Status(static_cast<StatusCode>(static_cast<int>(code)),
-                msg->string_value());
-  return Status::OK();
+void Archive::Scalar(RunDiagnostics& d) {
+  Object([&] {
+    Field("algorithm", d.algorithm)
+        .Field("iterations", d.iterations)
+        .Field("converged", d.converged)
+        .Field("stop_reason", d.stop_reason)
+        .Field("retries", d.retries)
+        .Field("elapsed_ms", d.elapsed_ms)
+        .Field("note", d.note)
+        .Field("warnings", d.warnings)
+        .Field("trace", d.trace);
+  });
 }
 
 }  // namespace ckpt

@@ -3,7 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -14,30 +14,32 @@
 
 #include "common/json.h"
 #include "common/result.h"
+#include "common/runguard.h"
 #include "common/status.h"
 
 namespace multiclust {
 
 class Matrix;
 class Rng;
-struct ConvergenceTrace;
-struct RunDiagnostics;
 
 /// Crash-consistent checkpoint/resume for the iterative algorithms and the
 /// discovery pipeline (see DESIGN.md "Crash recovery").
 ///
 /// Every checkpoint is one self-describing JSON document:
 ///
-///   {"schema_version":1,"kind":"multiclust.checkpoint",
+///   {"schema_version":2,"kind":"multiclust.checkpoint",
 ///    "algorithm":"kmeans","sequence":12,"fingerprint":"0x1a2b...",
 ///    "crc32":3735928559,"payload":{...}}
 ///
-/// The payload is algorithm-owned opaque state (centroids, responsibilities,
-/// subspace bases, RNG stream position, restart index, best-so-far result,
-/// accumulated ConvergenceTrace). Doubles use the writer's
-/// shortest-round-trip formatting and 64-bit integers are hex strings, so a
-/// restored state is bit-identical to the saved one — a resumed run produces
-/// exactly the labels and objectives of an uninterrupted run.
+/// The payload is the algorithm's state as written by its one
+/// `Visit(ckpt::Archive&)` (centroids, responsibilities, subspace bases,
+/// RNG stream position, restart index, best-so-far result) plus the
+/// persistence-point counter and accumulated ConvergenceTrace that
+/// common/iterative_run.h adds. Doubles use the writer's shortest-round-trip
+/// formatting and 64-bit integers are hex strings, so a restored state is
+/// bit-identical to the saved one — a resumed run produces exactly the
+/// labels and objectives of an uninterrupted run. Schema version 2 is the
+/// Archive layout; a version-1 file is skipped as stale (cold start).
 ///
 /// Persistence is atomic: write to a temp file, fsync, rename over the final
 /// name, fsync the directory. A reader therefore sees either the previous
@@ -46,7 +48,7 @@ struct RunDiagnostics;
 /// over the serialized payload, the algorithm name, and a caller-supplied
 /// configuration fingerprint; any mismatch degrades to a cold start with an
 /// attributed RunDiagnostics warning, never an error.
-inline constexpr int kCheckpointSchemaVersion = 1;
+inline constexpr int kCheckpointSchemaVersion = 2;
 inline constexpr const char kCheckpointKind[] = "multiclust.checkpoint";
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib convention) of `data`.
@@ -120,8 +122,8 @@ class Fingerprint {
 /// checkpointer and the per-iteration cost of the disarmed path is a single
 /// null-pointer test.
 ///
-/// Algorithms interact through three calls, all keyed by their own
-/// `algorithm` slot name and config fingerprint:
+/// Snapshots (common/iterative_run.h) makes three calls, all keyed by the
+/// algorithm's slot name and config fingerprint:
 ///
 ///  - TryRestore(): newest valid matching checkpoint, or nullopt for a
 ///    cold start (corrupt/stale files produce warnings, never errors).
@@ -198,10 +200,11 @@ class Checkpointer {
   size_t write_attempts_ = 0;
 };
 
-/// --- Payload building blocks shared by the algorithms' SnapshotState /
-/// RestoreState implementations. Writers append one JSON value; readers
-/// reject missing or mistyped fields with kComputationError so the caller
-/// can fall back to a cold start. ---
+/// Largest valid value of each checkpointed enum: Archive range-checks an
+/// enum on read against EnumMax (found by argument-dependent lookup).
+constexpr StopReason EnumMax(StopReason) { return StopReason::kCancelled; }
+constexpr StatusCode EnumMax(StatusCode) { return StatusCode::kAborted; }
+
 namespace ckpt {
 
 /// Test-only: toggles the Checkpointer's read-back verification of every
@@ -217,38 +220,131 @@ bool SetVerifyAfterWriteForTest(bool enabled);
 void WriteU64(json::Writer* w, uint64_t v);
 Result<uint64_t> ReadU64(const json::Value& v);
 
-void WriteMatrix(json::Writer* w, const Matrix& m);
-Result<Matrix> ReadMatrix(const json::Value& v);
+/// Two-way payload serializer: one `Visit(Archive&)` per checkpointed
+/// state writes the state (through a json::Writer) and reads it back (from
+/// the parsed json::Value) with the same sequence of Field calls, so a
+/// writer and its reader cannot drift apart.
+///
+///   void Visit(ckpt::Archive& ar) {
+///     ar.Field("iter", iter).Field("centers", centers);
+///     ar.Optional("have_best", have_best, [&] { ar.Field("best", best); });
+///   }
+///
+/// Field types: bool, signed integers, enums with an EnumMax overload
+/// (range-checked on read), unsigned 64-bit integers (hex strings, so
+/// counters and seeds alike survive above 2^53), doubles (shortest
+/// round-trip form; NaN and +-inf are written as null and read back as
+/// NaN), std::string, Matrix, Rng (full stream position), Status,
+/// ConvergenceTrace, RunDiagnostics, std::vector of any field type, and
+/// any struct with its own `Visit(Archive&)` (a nested object).
+///
+/// In read mode a missing or mistyped field, or an out-of-range enum,
+/// sets status() to kComputationError naming the field; every later call
+/// is a no-op, so the caller checks status() once at the end and falls
+/// back to a cold start.
+class Archive {
+ public:
+  explicit Archive(json::Writer* out) : out_(out) {}
+  explicit Archive(const json::Value& in) : in_(&in) {}
 
-void WriteIntVector(json::Writer* w, const std::vector<int>& v);
-Result<std::vector<int>> ReadIntVector(const json::Value& v);
+  const Status& status() const { return status_; }
 
-void WriteDoubleVector(json::Writer* w, const std::vector<double>& v);
-Result<std::vector<double>> ReadDoubleVector(const json::Value& v);
+  /// Serializes `value` as member `key` of the current object.
+  template <typename T>
+  Archive& Field(const char* key, T& value) {
+    Member(key, [&] { Value(value); });
+    return *this;
+  }
 
-void WriteSizeVector(json::Writer* w, const std::vector<size_t>& v);
-Result<std::vector<size_t>> ReadSizeVector(const json::Value& v);
+  /// An optional section: `present` is stored under `flag`, and `body`
+  /// (more Field calls) runs only when it is true.
+  template <typename Body>
+  Archive& Optional(const char* flag, bool& present, Body&& body) {
+    Field(flag, present);
+    if (status_.ok() && present) body();
+    return *this;
+  }
 
-/// Full generator state (xoshiro words + Box-Muller cache).
-void WriteRng(json::Writer* w, const Rng& rng);
-Result<Rng> ReadRng(const json::Value& v);
+  /// Serializes `value` at the current position (payload root or array
+  /// element).
+  template <typename T>
+  void Value(T& value) {
+    if (!status_.ok()) return;
+    if constexpr (requires { value.Visit(*this); }) {
+      Object([&] { value.Visit(*this); });
+    } else if constexpr (IsVector<T>::value) {
+      Array(value.size(), [&](size_t n) { value.resize(n); },
+            [&](size_t i) { Value(value[i]); });
+    } else if constexpr (std::is_enum_v<T>) {
+      int64_t raw = static_cast<int64_t>(value);
+      Integer(&raw, 0, static_cast<int64_t>(EnumMax(value)));
+      value = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T> && std::is_unsigned_v<T> &&
+                         sizeof(T) == sizeof(uint64_t)) {
+      uint64_t raw = value;
+      Hex(&raw);
+      value = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+      int64_t raw = static_cast<int64_t>(value);
+      Integer(&raw, std::numeric_limits<T>::min(),
+              std::numeric_limits<T>::max());
+      value = static_cast<T>(raw);
+    } else {
+      Scalar(value);
+    }
+  }
 
-/// Accumulated convergence telemetry, so a resumed run's trace equals the
-/// uninterrupted run's.
-void WriteTrace(json::Writer* w, const ConvergenceTrace& trace);
-Result<ConvergenceTrace> ReadTrace(const json::Value& v);
+ private:
+  template <typename T>
+  struct IsVector : std::false_type {};
+  template <typename T, typename A>
+  struct IsVector<std::vector<T, A>> : std::true_type {};
 
-void WriteStatus(json::Writer* w, const Status& status);
-/// Parses a status written by WriteStatus into *out; the return value is
-/// the parse outcome (Result<Status> would be ill-formed).
-Status ReadStatus(const json::Value& v, Status* out);
+  bool reading() const { return out_ == nullptr; }
 
-/// Member lookup helpers (missing field -> kComputationError naming it).
-Result<const json::Value*> Field(const json::Value& v, const char* key);
-Result<double> NumberField(const json::Value& v, const char* key);
-Result<bool> BoolField(const json::Value& v, const char* key);
-Result<uint64_t> U64Field(const json::Value& v, const char* key);
-Result<size_t> SizeField(const json::Value& v, const char* key);
+  template <typename Body>
+  void Member(const char* key, Body&& body) {
+    if (!status_.ok()) return;
+    const char* outer_key = key_;
+    key_ = key;
+    if (!reading()) {
+      out_->Key(key);
+      body();
+    } else if (const json::Value* member = in_->Find(key)) {
+      const json::Value* outer = in_;
+      in_ = member;
+      body();
+      in_ = outer;
+    } else {
+      Fail("missing");
+    }
+    key_ = outer_key;
+  }
+
+  void Object(FunctionRef<void()> body);
+  /// `size` elements in write mode; in read mode `resize(n)` first, then
+  /// `element(i)` once per array item.
+  void Array(size_t size, FunctionRef<void(size_t)> resize,
+             FunctionRef<void(size_t)> element);
+  void Integer(int64_t* v, int64_t lo, int64_t hi);
+  void Hex(uint64_t* v);
+  void Scalar(bool& v);
+  void Scalar(double& v);
+  void Scalar(std::string& v);
+  void Scalar(Matrix& m);
+  void Scalar(Rng& rng);
+  void Scalar(Status& status);
+  void Scalar(ConvergencePoint& point);
+  void Scalar(ConvergenceTrace& trace);
+  void Scalar(RunDiagnostics& diagnostics);
+  /// Records the first read error ("checkpoint: field 'k' is <what>").
+  void Fail(const char* what);
+
+  json::Writer* out_ = nullptr;
+  const json::Value* in_ = nullptr;
+  const char* key_ = "";
+  Status status_;
+};
 
 }  // namespace ckpt
 }  // namespace multiclust

@@ -9,7 +9,7 @@
 #include "altspace/dec_kmeans.h"
 #include "altspace/meta_clustering.h"
 #include "cluster/kmeans.h"
-#include "common/checkpoint.h"
+#include "common/iterative_run.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "metrics/clustering_quality.h"
@@ -168,191 +168,30 @@ Result<StrategyOutcome> RunStrategy(const Matrix& data,
   return out;
 }
 
-// ---- pipeline checkpoint payload -----------------------------------------
-
-// Reads a number that may have been serialized as null (NaN round-trip).
-Result<double> MaybeNanField(const json::Value& v, const char* key) {
-  MC_ASSIGN_OR_RETURN(const json::Value* f, ckpt::Field(v, key));
-  if (f->is_null()) return std::numeric_limits<double>::quiet_NaN();
-  if (!f->is_number()) {
-    return Status::ComputationError(std::string("checkpoint: field '") + key +
-                                    "' is not a number");
-  }
-  return f->number_value();
-}
-
-void WriteDiagCkpt(json::Writer* w, const RunDiagnostics& d) {
-  w->BeginObject();
-  w->Key("algorithm");
-  w->String(d.algorithm);
-  w->Key("iterations");
-  w->Uint(d.iterations);
-  w->Key("converged");
-  w->Bool(d.converged);
-  w->Key("stop_reason");
-  w->Int(static_cast<int>(d.stop_reason));
-  w->Key("retries");
-  w->Uint(d.retries);
-  w->Key("elapsed_ms");
-  w->Double(d.elapsed_ms);
-  w->Key("note");
-  w->String(d.note);
-  w->Key("warnings");
-  w->BeginArray();
-  for (const std::string& warning : d.warnings) w->String(warning);
-  w->EndArray();
-  w->Key("trace");
-  ckpt::WriteTrace(w, d.trace);
-  w->EndObject();
-}
-
-Result<RunDiagnostics> ReadDiagCkpt(const json::Value& v) {
-  RunDiagnostics d;
-  MC_ASSIGN_OR_RETURN(const json::Value* alg, ckpt::Field(v, "algorithm"));
-  d.algorithm = alg->string_value();
-  MC_ASSIGN_OR_RETURN(d.iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(d.converged, ckpt::BoolField(v, "converged"));
-  MC_ASSIGN_OR_RETURN(const double reason,
-                      ckpt::NumberField(v, "stop_reason"));
-  d.stop_reason = static_cast<StopReason>(static_cast<int>(reason));
-  MC_ASSIGN_OR_RETURN(d.retries, ckpt::SizeField(v, "retries"));
-  MC_ASSIGN_OR_RETURN(d.elapsed_ms, ckpt::NumberField(v, "elapsed_ms"));
-  MC_ASSIGN_OR_RETURN(const json::Value* note, ckpt::Field(v, "note"));
-  d.note = note->string_value();
-  MC_ASSIGN_OR_RETURN(const json::Value* warn, ckpt::Field(v, "warnings"));
-  if (!warn->is_array()) {
-    return Status::ComputationError("checkpoint: diag warnings malformed");
-  }
-  for (const json::Value& wv : warn->array_items()) {
-    d.warnings.push_back(wv.string_value());
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(d.trace, ckpt::ReadTrace(*tr));
-  return d;
-}
-
-void WriteClusteringCkpt(json::Writer* w, const Clustering& c) {
-  w->BeginObject();
-  w->Key("labels");
-  ckpt::WriteIntVector(w, c.labels);
-  w->Key("centroids");
-  ckpt::WriteMatrix(w, c.centroids);
-  w->Key("quality");
-  w->Double(c.quality);  // NaN (unset) serializes as null
-  w->Key("algorithm");
-  w->String(c.algorithm);
-  w->Key("iterations");
-  w->Uint(c.iterations);
-  w->Key("converged");
-  w->Bool(c.converged);
-  w->EndObject();
-}
-
-Result<Clustering> ReadClusteringCkpt(const json::Value& v) {
-  Clustering c;
-  MC_ASSIGN_OR_RETURN(const json::Value* l, ckpt::Field(v, "labels"));
-  MC_ASSIGN_OR_RETURN(c.labels, ckpt::ReadIntVector(*l));
-  MC_ASSIGN_OR_RETURN(const json::Value* ctr, ckpt::Field(v, "centroids"));
-  MC_ASSIGN_OR_RETURN(c.centroids, ckpt::ReadMatrix(*ctr));
-  MC_ASSIGN_OR_RETURN(c.quality, MaybeNanField(v, "quality"));
-  MC_ASSIGN_OR_RETURN(const json::Value* alg, ckpt::Field(v, "algorithm"));
-  c.algorithm = alg->string_value();
-  MC_ASSIGN_OR_RETURN(c.iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(c.converged, ckpt::BoolField(v, "converged"));
-  return c;
-}
-
 // Stage-granularity state of one DiscoverMultipleClusterings invocation:
-// the chosen k (stage 1) and the attempt ledger including the solved
-// solution set (stage 2). Dedup + objective scoring are deterministic
+// the report under construction plus the attempt cursor. Checkpointed are
+// the chosen k (stage 1) and the attempt ledger including, once solved,
+// the solution set (stage 2). Dedup + objective scoring are deterministic
 // recomputation and never checkpointed.
-struct PipelineCkptState {
-  size_t step = 0;
-  size_t chosen_k = 0;
+struct PipelineState {
+  DiscoveryReport report;
   size_t next_attempt = 0;
-  std::vector<RunDiagnostics> attempts;
-  std::vector<std::string> warnings;
-  Status last_error = Status::OK();
+  Status last_error;
   bool solved = false;
-  std::string strategy_name;
-  SolutionSet solutions;
-  bool degraded = false;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("chosen_k", report.chosen_k)
+        .Field("next_attempt", next_attempt)
+        .Field("attempts", report.attempts)
+        .Field("warnings", report.warnings)
+        .Field("last_error", last_error);
+    ar.Optional("solved", solved, [&] {
+      ar.Field("strategy_name", report.strategy_name)
+          .Field("solutions", report.solutions)
+          .Field("degraded", report.degraded);
+    });
+  }
 };
-
-void WritePipelinePayload(json::Writer* w, const PipelineCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("chosen_k");
-  w->Uint(s.chosen_k);
-  w->Key("next_attempt");
-  w->Uint(s.next_attempt);
-  w->Key("attempts");
-  w->BeginArray();
-  for (const RunDiagnostics& d : s.attempts) WriteDiagCkpt(w, d);
-  w->EndArray();
-  w->Key("warnings");
-  w->BeginArray();
-  for (const std::string& warning : s.warnings) w->String(warning);
-  w->EndArray();
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("solved");
-  w->Bool(s.solved);
-  if (s.solved) {
-    w->Key("strategy_name");
-    w->String(s.strategy_name);
-    w->Key("solutions");
-    w->BeginArray();
-    for (size_t i = 0; i < s.solutions.size(); ++i) {
-      WriteClusteringCkpt(w, s.solutions.at(i));
-    }
-    w->EndArray();
-    w->Key("degraded");
-    w->Bool(s.degraded);
-  }
-  w->EndObject();
-}
-
-Status ReadPipelinePayload(const json::Value& v, PipelineCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->chosen_k, ckpt::SizeField(v, "chosen_k"));
-  MC_ASSIGN_OR_RETURN(s->next_attempt, ckpt::SizeField(v, "next_attempt"));
-  MC_ASSIGN_OR_RETURN(const json::Value* att, ckpt::Field(v, "attempts"));
-  if (!att->is_array()) {
-    return Status::ComputationError("checkpoint: pipeline attempts malformed");
-  }
-  for (const json::Value& a : att->array_items()) {
-    MC_ASSIGN_OR_RETURN(RunDiagnostics d, ReadDiagCkpt(a));
-    s->attempts.push_back(std::move(d));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* warn, ckpt::Field(v, "warnings"));
-  if (!warn->is_array()) {
-    return Status::ComputationError("checkpoint: pipeline warnings malformed");
-  }
-  for (const json::Value& wv : warn->array_items()) {
-    s->warnings.push_back(wv.string_value());
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(s->solved, ckpt::BoolField(v, "solved"));
-  if (s->solved) {
-    MC_ASSIGN_OR_RETURN(const json::Value* sn,
-                        ckpt::Field(v, "strategy_name"));
-    s->strategy_name = sn->string_value();
-    MC_ASSIGN_OR_RETURN(const json::Value* sols, ckpt::Field(v, "solutions"));
-    if (!sols->is_array()) {
-      return Status::ComputationError(
-          "checkpoint: pipeline solutions malformed");
-    }
-    for (const json::Value& sv : sols->array_items()) {
-      MC_ASSIGN_OR_RETURN(Clustering c, ReadClusteringCkpt(sv));
-      MC_RETURN_IF_ERROR(s->solutions.Add(std::move(c)));
-    }
-    MC_ASSIGN_OR_RETURN(s->degraded, ckpt::BoolField(v, "degraded"));
-  }
-  return Status::OK();
-}
 
 uint64_t PipelineFingerprint(const Matrix& data,
                              const DiscoveryOptions& options) {
@@ -387,63 +226,27 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
   BudgetTracker guard(options.budget, "pipeline");
   telemetry::ResourceScope resource_scope;
   telemetry::EmitStage("pipeline", "start");
-  Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? PipelineFingerprint(data, options) : 0;
-
-  DiscoveryReport report;
-  PipelineCkptState state;
-  bool resumed = false;
-  if (ck != nullptr) {
-    // Pipeline-stage warnings (corrupt checkpoint, restore notes) land in
-    // the report's warning list, not a per-algorithm RunDiagnostics.
-    RunDiagnostics restore_diag;
-    if (auto restored = ck->TryRestore("pipeline", fp, &restore_diag)) {
-      PipelineCkptState loaded;
-      Status parsed = ReadPipelinePayload(restored->payload, &loaded);
-      if (parsed.ok() && loaded.solved) {
-        for (size_t i = 0; i < loaded.solutions.size(); ++i) {
-          if (loaded.solutions.at(i).labels.size() != data.rows()) {
-            parsed = Status::ComputationError(
-                "checkpoint: solution size mismatch");
-            break;
-          }
+  // Pipeline-stage warnings (corrupt checkpoint, restore notes) land in
+  // the report's warning list, not a per-algorithm RunDiagnostics.
+  RunDiagnostics restore_diag;
+  Snapshots<PipelineState> snapshots("pipeline", options.budget.checkpoint,
+                                     &restore_diag);
+  const bool resumed = snapshots.Restore(
+      [&] { return PipelineFingerprint(data, options); },
+      [&](const PipelineState& s) {
+        for (const Clustering& c : s.report.solutions.solutions()) {
+          if (c.labels.size() != data.rows()) return false;
         }
-      }
-      if (parsed.ok() && loaded.chosen_k == 0) {
-        parsed = Status::ComputationError("checkpoint: chosen_k is zero");
-      }
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resumed = true;
-      } else {
-        AddWarning(&restore_diag, "pipeline",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
-    }
-    for (std::string& w : restore_diag.warnings) {
-      report.warnings.push_back(std::move(w));
-    }
-  }
+        return s.report.chosen_k != 0;
+      });
+  PipelineState& st = snapshots.state;
+  DiscoveryReport& report = st.report;
+  report.warnings.insert(report.warnings.begin(),
+                         restore_diag.warnings.begin(),
+                         restore_diag.warnings.end());
 
-  // Re-reads the shared stage ledger at call time; `flush` swallows write
-  // errors (best-effort final snapshot on the way out of a cancellation).
-  const auto snapshot = [&](bool flush) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
-      WritePipelinePayload(w, state);
-    };
-    const Status st = flush ? ck->Flush("pipeline", fp, payload)
-                            : ck->AtPersistencePoint("pipeline", fp,
-                                                     state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
-  };
-
-  size_t k = options.k;
-  if (resumed) {
-    k = state.chosen_k;
-  } else {
+  if (!resumed) {
+    size_t k = options.k;
     if (k == 0) {
       telemetry::EmitStage("pipeline.select_k", "start");
       MC_ASSIGN_OR_RETURN(k,
@@ -452,10 +255,10 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
       telemetry::EmitStage("pipeline.select_k", "end");
     }
     // Stage boundary: model selection done, no attempts yet.
-    state.chosen_k = k;
-    MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
+    report.chosen_k = k;
+    MC_RETURN_IF_ERROR(snapshots.Persist());
   }
-  report.chosen_k = k;
+  const size_t k = report.chosen_k;
 
   // Fallback chain: the requested strategy first, then (when allowed) the
   // most robust strategies — dec-kmeans degrades gracefully under budget
@@ -470,28 +273,14 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
     }
   }
 
-  Status last_error = Status::OK();
-  bool solved = false;
-  if (resumed) {
-    // Replay the attempt ledger: completed attempts (and, when the run had
-    // already solved, the winning solution set) come straight from the
-    // checkpoint; only the in-flight attempt re-runs.
-    report.attempts = state.attempts;
-    for (const std::string& w : state.warnings) report.warnings.push_back(w);
-    last_error = state.last_error;
-    if (state.solved) {
-      report.strategy_name = state.strategy_name;
-      report.solutions = std::move(state.solutions);
-      report.degraded = state.degraded;
-      solved = true;
-    }
-  }
-  const size_t start_attempt = resumed ? state.next_attempt : 0;
-  for (size_t attempt = start_attempt; attempt < chain.size() && !solved;
+  // A resumed run replays the attempt ledger from the checkpoint (and,
+  // once solved, the winning solution set); only the in-flight attempt
+  // re-runs.
+  for (size_t attempt = st.next_attempt; attempt < chain.size() && !st.solved;
        ++attempt) {
     const DiscoveryStrategy strategy = chain[attempt];
     if (guard.Cancelled()) {
-      if (ck != nullptr) (void)snapshot(/*flush=*/true);
+      snapshots.Flush();
       return guard.CancelledStatus();
     }
     if (attempt > 0 && guard.DeadlineExpired()) {
@@ -504,7 +293,7 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
     diag.algorithm = StrategyName(strategy);
     telemetry::EmitStage(StrategyName(strategy), "start");
     const double started_ms = guard.ElapsedMs();
-    Result<StrategyOutcome> run = RunWithRetry(
+    Result<StrategyOutcome> outcome = RunWithRetry(
         options.retry, options.seed,
         [&](uint64_t seed) {
           return RunStrategy(data, strategy, k, options, seed,
@@ -515,15 +304,15 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
     // The strategy's own recorder reports the inner algorithm; the
     // attempt entry is labelled by strategy.
     diag.algorithm = StrategyName(strategy);
-    if (run.ok()) {
-      diag.iterations = run->iterations;
-      diag.converged = run->converged;
+    if (outcome.ok()) {
+      diag.iterations = outcome->iterations;
+      diag.converged = outcome->converged;
       diag.stop_reason =
-          run->converged ? StopReason::kConverged : StopReason::kDeadline;
+          outcome->converged ? StopReason::kConverged : StopReason::kDeadline;
       report.attempts.push_back(diag);
       report.strategy_name = StrategyName(strategy);
-      report.solutions = std::move(run->solutions);
-      for (std::string& w : run->warnings) {
+      report.solutions = std::move(outcome->solutions);
+      for (std::string& w : outcome->warnings) {
         report.warnings.push_back(std::move(w));
       }
       if (diag.retries > 0) {
@@ -533,55 +322,42 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
                                   " deterministic retr" +
                                   (diag.retries == 1 ? "y" : "ies"));
       }
-      report.degraded = attempt > 0 || diag.retries > 0 || !run->converged;
-      solved = true;
+      report.degraded =
+          attempt > 0 || diag.retries > 0 || !outcome->converged;
+      st.solved = true;
       // Stage boundary: strategy solved. A resume from here skips the
       // attempt loop entirely and recomputes only the deterministic
       // dedup + objective stages.
-      if (ck != nullptr) {
-        state.next_attempt = attempt + 1;
-        state.attempts = report.attempts;
-        state.warnings = report.warnings;
-        state.last_error = last_error;
-        state.solved = true;
-        state.strategy_name = report.strategy_name;
-        state.solutions = report.solutions;
-        state.degraded = report.degraded;
-        MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-      }
+      st.next_attempt = attempt + 1;
+      MC_RETURN_IF_ERROR(snapshots.Persist());
       break;
     }
     // A failed attempt: cancellation, a simulated crash, and configuration
     // errors are final; recoverable computation errors move on to the next
     // strategy.
-    if (run.status().code() == StatusCode::kCancelled ||
-        run.status().code() == StatusCode::kAborted ||
-        run.status().code() == StatusCode::kInvalidArgument) {
-      return run.status();
+    if (outcome.status().code() == StatusCode::kCancelled ||
+        outcome.status().code() == StatusCode::kAborted ||
+        outcome.status().code() == StatusCode::kInvalidArgument) {
+      return outcome.status();
     }
     diag.converged = false;
     report.attempts.push_back(diag);
-    last_error = run.status();
+    st.last_error = outcome.status();
     report.warnings.push_back(std::string("pipeline: ") +
                               StrategyName(strategy) +
-                              " failed: " + last_error.ToString());
+                              " failed: " + st.last_error.ToString());
     if (!options.allow_fallback) break;
     // Stage boundary: attempt `attempt` failed recoverably; resume moves
     // straight to the next strategy in the fallback chain.
-    if (ck != nullptr) {
-      state.next_attempt = attempt + 1;
-      state.attempts = report.attempts;
-      state.warnings = report.warnings;
-      state.last_error = last_error;
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
+    st.next_attempt = attempt + 1;
+    MC_RETURN_IF_ERROR(snapshots.Persist());
   }
-  if (!solved) {
-    if (last_error.ok()) {
-      last_error = Status::ComputationError(
+  if (!st.solved) {
+    if (st.last_error.ok()) {
+      return Status::ComputationError(
           "pipeline: no strategy produced a solution set within budget");
     }
-    return last_error;
+    return st.last_error;
   }
   report.degraded = report.degraded || !report.warnings.empty();
 
@@ -610,7 +386,7 @@ Result<DiscoveryReport> DiscoverMultipleClusterings(
   telemetry::EmitStage("pipeline.objective", "end");
   report.resource = resource_scope.Snapshot();
   telemetry::EmitStage("pipeline", "end");
-  return report;
+  return std::move(report);
 }
 
 }  // namespace multiclust

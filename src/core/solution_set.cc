@@ -3,10 +3,15 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/checkpoint.h"
 #include "metrics/multi_solution.h"
 #include "metrics/partition_similarity.h"
 
 namespace multiclust {
+
+void SolutionSet::Visit(ckpt::Archive& ar) {
+  ar.Field("items", solutions_);
+}
 
 Status SolutionSet::Add(Clustering clustering) {
   if (!solutions_.empty() &&

@@ -44,6 +44,10 @@ class SolutionSet {
   /// One line per solution: algorithm, #clusters, quality.
   std::string Summary() const;
 
+  /// Checkpoint serialization (see ckpt::Archive). Reading bypasses Add's
+  /// size check; the caller validates the restored set.
+  void Visit(ckpt::Archive& ar);
+
  private:
   std::vector<Clustering> solutions_;
 };

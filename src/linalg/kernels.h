@@ -29,7 +29,6 @@ struct SimdInfo {
   std::string backend;   ///< "avx2" | "neon" | "scalar"
   bool compiled_simd;    ///< MULTICLUST_SIMD was ON at build time
   int double_lanes;      ///< always 4 (lane model, not hardware width)
-  int float_lanes;       ///< always 8
 };
 
 /// Backend the fast instantiation was compiled with.
@@ -76,12 +75,6 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
 
-// --- f32 kernels (fixed 8-lane model; opt-in distance path). ---
-float DotF(const float* a, const float* b, size_t n);
-float SquaredNormF(const float* x, size_t n);
-float SquaredDistanceF(const float* a, const float* b, size_t n);
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d);
-
 /// Always-scalar reference instantiation of every kernel above
 /// (identical signatures, forced scalar backend, no autovectorization).
 namespace ref {
@@ -106,10 +99,6 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
                     double x_norm, const double* center_norms);
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end);
-float DotF(const float* a, const float* b, size_t n);
-float SquaredNormF(const float* x, size_t n);
-float SquaredDistanceF(const float* x, const float* b, size_t n);
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d);
 }  // namespace ref
 
 }  // namespace kernels

@@ -15,7 +15,6 @@ namespace kernels {
 namespace ref {
 
 using simd::Double4;
-using simd::Float8;
 
 #if !defined(MULTICLUST_SIMD_BACKEND_SCALAR)
 #error "ref TU must see the scalar backend"
@@ -69,19 +68,6 @@ int NearestNormForm(const double* x, const double* centers, size_t k, size_t d,
 void GemmRows(const double* a, size_t acols, const double* b, size_t bcols,
               double* c, size_t row_begin, size_t row_end) {
   impl::GemmRows<Double4>(a, acols, b, bcols, c, row_begin, row_end);
-}
-
-float DotF(const float* a, const float* b, size_t n) {
-  return impl::DotF<Float8>(a, b, n);
-}
-float SquaredNormF(const float* x, size_t n) {
-  return impl::SquaredNormF<Float8>(x, n);
-}
-float SquaredDistanceF(const float* a, const float* b, size_t n) {
-  return impl::SquaredDistanceF<Float8>(a, b, n);
-}
-int NearestSquaredF(const float* x, const float* centers, size_t k, size_t d) {
-  return impl::NearestSquaredF<Float8>(x, centers, k, d);
 }
 
 }  // namespace ref

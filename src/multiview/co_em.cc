@@ -6,8 +6,8 @@
 #include <string>
 #include <utility>
 
-#include "common/checkpoint.h"
 #include "common/fault.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "metrics/partition_similarity.h"
@@ -32,61 +32,27 @@ Matrix ComputeResponsibilities(const GmmModel& model, const Matrix& data) {
   return resp;
 }
 
-// Checkpoint state between co-EM rounds. resp1 is NOT serialized: at every
+// Co-EM state between rounds. resp1 is NOT checkpointed: at every
 // persistence point it equals ComputeResponsibilities(m1, view1), which
 // the resume path recomputes bit-identically from the restored model.
-struct CoEmCkptState {
-  size_t step = 0;
+struct CoEmState {
   size_t next_iter = 0;
   GmmModel m1;
   GmmModel m2;
   bool has_best = false;  // best_ll starts at -inf, unrepresentable in JSON
-  double best_ll = 0.0;
+  double best_ll = -std::numeric_limits<double>::infinity();
   size_t stale = 0;
-  size_t iterations_done = 0;
-  ConvergenceTrace trace;
+  size_t iterations = 0;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("next_iter", next_iter)
+        .Field("m1", m1)
+        .Field("m2", m2)
+        .Field("stale", stale)
+        .Field("iterations", iterations);
+    ar.Optional("has_best", has_best, [&] { ar.Field("best_ll", best_ll); });
+  }
 };
-
-void WriteCoEmPayload(json::Writer* w, const CoEmCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("next_iter");
-  w->Uint(s.next_iter);
-  w->Key("m1");
-  WriteGmmModelCkpt(w, s.m1);
-  w->Key("m2");
-  WriteGmmModelCkpt(w, s.m2);
-  w->Key("has_best");
-  w->Bool(s.has_best);
-  w->Key("best_ll");
-  w->Double(s.has_best ? s.best_ll : 0.0);
-  w->Key("stale");
-  w->Uint(s.stale);
-  w->Key("iterations_done");
-  w->Uint(s.iterations_done);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->EndObject();
-}
-
-Status ReadCoEmPayload(const json::Value& v, CoEmCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->next_iter, ckpt::SizeField(v, "next_iter"));
-  MC_ASSIGN_OR_RETURN(const json::Value* m1, ckpt::Field(v, "m1"));
-  MC_ASSIGN_OR_RETURN(s->m1, ReadGmmModelCkpt(*m1));
-  MC_ASSIGN_OR_RETURN(const json::Value* m2, ckpt::Field(v, "m2"));
-  MC_ASSIGN_OR_RETURN(s->m2, ReadGmmModelCkpt(*m2));
-  MC_ASSIGN_OR_RETURN(s->has_best, ckpt::BoolField(v, "has_best"));
-  MC_ASSIGN_OR_RETURN(s->best_ll, ckpt::NumberField(v, "best_ll"));
-  if (!s->has_best) s->best_ll = -std::numeric_limits<double>::infinity();
-  MC_ASSIGN_OR_RETURN(s->stale, ckpt::SizeField(v, "stale"));
-  MC_ASSIGN_OR_RETURN(s->iterations_done,
-                      ckpt::SizeField(v, "iterations_done"));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  return Status::OK();
-}
 
 uint64_t CoEmFingerprint(const Matrix& view1, const Matrix& view2,
                          const CoEmOptions& options) {
@@ -114,84 +80,31 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
   MC_RETURN_IF_ERROR(ValidateMatrix("co-EM view 1", view1));
   MC_RETURN_IF_ERROR(ValidateMatrix("co-EM view 2", view2));
   MULTICLUST_TRACE_SPAN("multiview.co_em.run");
-  BudgetTracker guard(options.budget, "co-em");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
+  IterativeRun<CoEmState> run("co-em", options.budget, options.diagnostics,
+                              options.max_iters);
   const size_t n = view1.rows();
-
+  CoEmState& st = run.state;
+  const bool resumed = run.Restore(
+      [&] { return CoEmFingerprint(view1, view2, options); },
+      [&](const CoEmState& s) {
+        return s.m1.k() == options.k && s.m2.k() == options.k;
+      });
+  if (!resumed) {
+    MC_ASSIGN_OR_RETURN(
+        st.m1,
+        InitGmm(view1, options.k, CovarianceType::kDiagonal, options.seed));
+    MC_ASSIGN_OR_RETURN(
+        st.m2, InitGmm(view2, options.k, CovarianceType::kDiagonal,
+                       options.seed ^ 0x9E3779B9ULL));
+  }
+  GmmModel& m1 = st.m1;
+  GmmModel& m2 = st.m2;
   CoEmResult result;
-  MC_ASSIGN_OR_RETURN(
-      GmmModel m1,
-      InitGmm(view1, options.k, CovarianceType::kDiagonal, options.seed));
-  MC_ASSIGN_OR_RETURN(
-      GmmModel m2,
-      InitGmm(view2, options.k, CovarianceType::kDiagonal,
-              options.seed ^ 0x9E3779B9ULL));
 
   // Termination: co-EM need not converge (slide 104), so run a minimum
   // number of rounds and then stop once the joint log-likelihood has been
   // flat for `patience` rounds.
   const size_t kMinIters = 10;
-  double best_ll = -std::numeric_limits<double>::infinity();
-  size_t stale = 0;
-  size_t start_iter = 0;
-
-  // --- Checkpoint/resume ----------------------------------------------
-  Checkpointer* ckp = options.budget.checkpoint;
-  const uint64_t fp =
-      ckp != nullptr ? CoEmFingerprint(view1, view2, options) : 0;
-  size_t ckpt_step = 0;
-  if (ckp != nullptr) {
-    if (auto restored = ckp->TryRestore("co-em", fp, options.diagnostics)) {
-      CoEmCkptState state;
-      Status parsed = ReadCoEmPayload(restored->payload, &state);
-      if (parsed.ok() && state.m1.k() == options.k &&
-          state.m2.k() == options.k) {
-        m1 = std::move(state.m1);
-        m2 = std::move(state.m2);
-        best_ll = state.best_ll;
-        stale = state.stale;
-        start_iter = state.next_iter;
-        result.iterations = state.iterations_done;
-        ckpt_step = state.step;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "co-em",
-                   "checkpoint payload rejected (" +
-                       (parsed.ok() ? std::string("component count mismatch")
-                                    : parsed.message()) +
-                       "); cold start");
-      }
-    }
-  }
-  // The model/trace copies live inside the payload writer, so an
-  // armed-but-not-due persistence point pays only the policy check.
-  auto snapshot = [&](size_t next_iter, bool flush) -> Status {
-    auto payload = [&](json::Writer* w) {
-      CoEmCkptState s;
-      s.step = ckpt_step;
-      s.next_iter = next_iter;
-      s.m1 = m1;
-      s.m2 = m2;
-      s.has_best = std::isfinite(best_ll);
-      s.best_ll = best_ll;
-      s.stale = stale;
-      s.iterations_done = result.iterations;
-      if (options.diagnostics != nullptr) s.trace = options.diagnostics->trace;
-      WriteCoEmPayload(w, s);
-    };
-    Status st = flush ? ckp->Flush("co-em", fp, payload)
-                      : ckp->AtPersistencePoint("co-em", fp, ckpt_step,
-                                                payload);
-    ++ckpt_step;
-    return flush ? Status::OK() : st;
-  };
-  // ---------------------------------------------------------------------
 
   // Prime: one E-step in view 1 to produce the first responsibilities.
   // On resume this replays the E-step the interrupted run took at the end
@@ -199,12 +112,13 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
   // function of the restored view-1 model.
   Matrix resp1 = ComputeResponsibilities(m1, view1);
 
-  for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
-    if (guard.Cancelled()) {
-      if (ckp != nullptr) (void)snapshot(iter, /*flush=*/true);
-      return guard.CancelledStatus();
+  for (size_t iter = st.next_iter; iter < options.max_iters; ++iter) {
+    st.next_iter = iter;
+    if (run.guard().Cancelled()) {
+      run.Flush();
+      return run.guard().CancelledStatus();
     }
-    if (guard.ShouldStop(iter)) break;
+    if (run.guard().ShouldStop(iter)) break;
     MC_METRIC_COUNT("multiview.co_em.iterations", 1);
     MULTICLUST_TRACE_SPAN("multiview.co_em.round");
     // View 2: M-step from view-1 responsibilities, then E-step.
@@ -215,7 +129,7 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
     MC_RETURN_IF_ERROR(MStepFromResponsibilities(view1, resp2,
                                                  options.variance_floor, &m1));
     resp1 = ComputeResponsibilities(m1, view1);
-    result.iterations = iter + 1;
+    st.iterations = iter + 1;
 
     double ll =
         m1.TotalLogLikelihood(view1) + m2.TotalLogLikelihood(view2);
@@ -234,17 +148,18 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
           "co-EM: non-finite joint log-likelihood at iteration " +
           std::to_string(iter));
     }
-    if (recorder.enabled()) {
+    if (run.recorder().enabled()) {
       const double delta =
-          std::isfinite(best_ll) && std::isfinite(ll) ? ll - best_ll : 0.0;
-      recorder.Record(0, iter, ll, delta, 0);
+          st.has_best && std::isfinite(ll) ? ll - st.best_ll : 0.0;
+      run.recorder().Record(0, iter, ll, delta, 0);
     }
-    if (ll > best_ll + 1e-6 * (std::fabs(best_ll) + 1.0)) {
-      best_ll = ll;
-      stale = 0;
+    if (ll > st.best_ll + 1e-6 * (std::fabs(st.best_ll) + 1.0)) {
+      st.has_best = true;
+      st.best_ll = ll;
+      st.stale = 0;
     } else {
-      ++stale;
-      if (iter + 1 >= kMinIters && stale >= options.patience &&
+      ++st.stale;
+      if (iter + 1 >= kMinIters && st.stale >= options.patience &&
           !MC_FAULT_FIRES("co-em", FaultKind::kForceNonConvergence, iter)) {
         result.converged = true;
         break;
@@ -253,12 +168,12 @@ Result<CoEmResult> RunCoEm(const Matrix& view1, const Matrix& view2,
     // Persistence point: round complete, models and staleness counters
     // consistent. Skipped on the convergence break above — there is
     // nothing left to resume into.
-    if (ckp != nullptr) {
-      MC_RETURN_IF_ERROR(snapshot(iter + 1, /*flush=*/false));
-    }
+    st.next_iter = iter + 1;
+    MC_RETURN_IF_ERROR(run.Persist());
   }
 
-  recorder.Finish("co-em", result.iterations, result.converged);
+  result.iterations = st.iterations;
+  run.Finish(result.iterations, result.converged);
   result.model_view1 = m1;
   result.model_view2 = m2;
   result.labels_view1 = m1.HardAssign(view1);

@@ -1,6 +1,8 @@
 #include "serve/progress.h"
 
 #include <cmath>
+#include <limits>
+#include <string_view>
 
 #include "common/json.h"
 
@@ -14,14 +16,33 @@ namespace {
 /// emitting thread is the identity anyway.
 thread_local std::shared_ptr<void> t_channel;
 
-}  // namespace
+/// The serving plane's own view of one progress event: string views into
+/// the caller's strings, so building one never constructs (or destroys) a
+/// telemetry::ProgressEvent — under -DMULTICLUST_TRACING=OFF this file must
+/// emit no telemetry:: symbol.
+struct JobEvent {
+  std::string_view stage;
+  std::string_view phase;
+  int64_t restart = -1;
+  int64_t iteration = -1;
+  double objective = std::numeric_limits<double>::quiet_NaN();
+  double delta = std::numeric_limits<double>::quiet_NaN();
+  double budget_remaining_ms = std::numeric_limits<double>::quiet_NaN();
+  double eta_ms = std::numeric_limits<double>::quiet_NaN();
+  bool terminal = false;
+};
 
-std::string TaggedProgressJson(const std::string& job_id,
-                               const telemetry::ProgressEvent& event,
-                               uint64_t seq, double elapsed_ms) {
-  // Field-for-field the telemetry.cc serialization of the
-  // `multiclust.progress` schema, plus the "job" tag (an additive member:
-  // no schema_version bump, untagged readers ignore it).
+JobEvent FromTelemetry(const telemetry::ProgressEvent& event) {
+  return {event.stage,     event.phase, event.restart,
+          event.iteration, event.objective, event.delta,
+          event.budget_remaining_ms, event.eta_ms, event.terminal};
+}
+
+// Field-for-field the telemetry.cc serialization of the
+// `multiclust.progress` schema, plus the "job" tag (an additive member: no
+// schema_version bump, untagged readers ignore it).
+std::string JobEventJson(const std::string& job_id, const JobEvent& event,
+                         uint64_t seq, double elapsed_ms) {
   json::Writer w;
   w.BeginObject();
   w.Key("kind");
@@ -70,6 +91,14 @@ std::string TaggedProgressJson(const std::string& job_id,
   return std::move(w).str();
 }
 
+}  // namespace
+
+std::string TaggedProgressJson(const std::string& job_id,
+                               const telemetry::ProgressEvent& event,
+                               uint64_t seq, double elapsed_ms) {
+  return JobEventJson(job_id, FromTelemetry(event), seq, elapsed_ms);
+}
+
 JobProgressMux::~JobProgressMux() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, channel] : channels_) {
@@ -106,12 +135,12 @@ void JobProgressMux::FinishJob(const std::string& phase) {
   auto channel = std::static_pointer_cast<Channel>(t_channel);
   t_channel.reset();
   if (channel == nullptr || channel->out == nullptr) return;
-  telemetry::ProgressEvent event;
+  JobEvent event;
   event.stage = "run";
   event.phase = phase;
   event.terminal = true;
-  const std::string line = TaggedProgressJson(
-      channel->job_id, event, ++channel->seq, ElapsedMs(*channel));
+  const std::string line =
+      JobEventJson(channel->job_id, event, ++channel->seq, ElapsedMs(*channel));
   std::fwrite(line.data(), 1, line.size(), channel->out);
   std::fputc('\n', channel->out);
   std::fclose(channel->out);
@@ -138,10 +167,10 @@ void JobProgressMux::OnEvent(const telemetry::ProgressEvent& event) {
   // The pipeline's own terminal event never fires inside a job (the CLI
   // emits it, the daemon's FinishJob does) — but drop the flag defensively
   // so the per-job stream keeps its exactly-one-terminal contract.
-  telemetry::ProgressEvent tagged = event;
+  JobEvent tagged = FromTelemetry(event);
   tagged.terminal = false;
-  const std::string line = TaggedProgressJson(
-      channel->job_id, tagged, ++channel->seq, ElapsedMs(*channel));
+  const std::string line = JobEventJson(channel->job_id, tagged,
+                                        ++channel->seq, ElapsedMs(*channel));
   std::fwrite(line.data(), 1, line.size(), channel->out);
   std::fputc('\n', channel->out);
   if (event.phase != "iteration") std::fflush(channel->out);

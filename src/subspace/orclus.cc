@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 
-#include "common/checkpoint.h"
 #include "common/fault.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -38,12 +37,24 @@ double ProjectedSquaredDistance(const std::vector<double>& x,
   return ProjectedSquaredDistance(x.data(), x.size(), centroid, basis);
 }
 
+void OrientedSubspace::Visit(ckpt::Archive& ar) { ar.Field("basis", basis); }
+
+void OrclusResult::Visit(ckpt::Archive& ar) {
+  ar.Field("clustering", clustering)
+      .Field("subspaces", subspaces)
+      .Field("energy", projected_energy);
+}
+
 namespace {
 
 struct Group {
   std::vector<double> centroid;
   Matrix basis;  // d x q least-spread eigenvectors
   std::vector<int> members;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("c", centroid).Field("b", basis).Field("m", members);
+  }
 };
 
 // Last q identity axes: the degenerate-group / failed-eigensolve fallback.
@@ -121,7 +132,7 @@ Result<double> MergeCost(const Matrix& data, const Group& a, const Group& b,
 
 namespace {
 
-// Mid-restart resume state for one RunOrclusOnce invocation: the merge
+// Mid-restart resume point of one RunOrclusOnce invocation: the merge
 // schedule's full working set. The refinement loop is NOT checkpointed —
 // it is a pure replay from the last merge-loop persistence point (the rng
 // is untouched between seeding and refinement, so its saved position
@@ -134,21 +145,24 @@ struct OrclusSeed {
   double prev_energy = 0.0;
   size_t iterations = 0;
   Rng rng;  ///< stream position at the persistence point
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("next_iter", start_iter)
+        .Field("groups", groups)
+        .Field("qc", qc)
+        .Field("has_prev", has_prev)
+        .Field("prev_energy", prev_energy)
+        .Field("iterations", iterations)
+        .Field("rng", rng);
+  }
 };
 
-// The persist callback receives a *builder* rather than a packed seed so
-// the O(k·d²) group copy happens only when the policy actually serializes
-// a snapshot.
-using OrclusSeedFn = FunctionRef<OrclusSeed()>;
-using OrclusPersistFn = std::function<Status(OrclusSeedFn, bool flush)>;
+using OrclusRun = IterativeRun<RestartState<OrclusSeed, OrclusResult>>;
 
 Result<OrclusResult> RunOrclusOnce(const Matrix& data,
                                    const OrclusOptions& options,
-                                   uint64_t seed, BudgetTracker* guard,
-                                   size_t restart,
-                                   ConvergenceRecorder* recorder,
-                                   const OrclusSeed* resume,
-                                   const OrclusPersistFn& persist) {
+                                   uint64_t seed, OrclusRun& run,
+                                   size_t restart, const OrclusSeed* resume) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   Rng rng(seed);
@@ -190,28 +204,26 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
     }
   }
 
-  // Packs the current merge-loop state for the persist callback.
-  const auto make_seed = [&](size_t next_iter) {
-    OrclusSeed s;
-    s.start_iter = next_iter;
-    s.groups = groups;
-    s.qc = qc;
-    s.has_prev = std::isfinite(prev_energy);
-    s.prev_energy = s.has_prev ? prev_energy : 0.0;
-    s.iterations = iterations;
-    s.rng = rng;
-    return s;
+  // Records the current merge-loop state as the resume point.
+  const auto seed_at = [&](size_t next_iter) {
+    return [&, next_iter](OrclusSeed& s) {
+      s.start_iter = next_iter;
+      s.groups = groups;
+      s.qc = qc;
+      s.has_prev = std::isfinite(prev_energy);
+      s.prev_energy = s.has_prev ? prev_energy : 0.0;
+      s.iterations = iterations;
+      s.rng = rng;
+    };
   };
 
   for (size_t iter = start_iter; iter < options.max_iters || kc > options.k;
        ++iter) {
-    if (guard->Cancelled()) {
-      if (persist) {
-        (void)persist([&] { return make_seed(iter); }, /*flush=*/true);
-      }
-      return guard->CancelledStatus();
+    if (run.guard().Cancelled()) {
+      run.FlushSeed(restart, seed_at(iter));
+      return run.guard().CancelledStatus();
     }
-    if (guard->ShouldStop(iter)) {
+    if (run.guard().ShouldStop(iter)) {
       stopped_early = true;
       break;
     }
@@ -289,7 +301,7 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
     }
     kc = groups.size();
     qc = std::max(static_cast<double>(options.l), qc * beta);
-    if (recorder->enabled()) {
+    if (run.recorder().enabled()) {
       // Mean projected energy at the current working dimensionality — the
       // quantity the merge schedule drives down. Only computed when a
       // diagnostics sink is attached.
@@ -303,7 +315,7 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
       e /= static_cast<double>(n);
       const double delta =
           std::isfinite(prev_energy) ? std::fabs(prev_energy - e) : 0.0;
-      recorder->Record(restart, iter, e, delta, dropped);
+      run.recorder().Record(restart, iter, e, delta, dropped);
       prev_energy = e;
     }
     if (kc <= options.k &&
@@ -315,10 +327,7 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
     // Persistence point: the schedule continues, so a resumed run picks up
     // at iter + 1. The exits above fall through to the refinement loop,
     // which replays deterministically from the previous snapshot.
-    if (persist) {
-      MC_RETURN_IF_ERROR(
-          persist([&] { return make_seed(iter + 1); }, /*flush=*/false));
-    }
+    MC_RETURN_IF_ERROR(run.PersistSeed(restart, seed_at(iter + 1)));
   }
 
   // Final refinement at (k, l): iterate projected assignment and subspace
@@ -327,8 +336,8 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
   std::vector<int> labels(n, -1);
   bool refined = false;
   for (size_t round = 0; round < 20; ++round) {
-    if (guard->Cancelled()) return guard->CancelledStatus();
-    if (guard->DeadlineExpired()) {
+    if (run.guard().Cancelled()) return run.guard().CancelledStatus();
+    if (run.guard().DeadlineExpired()) {
       stopped_early = true;
       break;
     }
@@ -398,161 +407,6 @@ Result<OrclusResult> RunOrclusOnce(const Matrix& data,
   return result;
 }
 
-void WriteGroup(json::Writer* w, const Group& g) {
-  w->BeginObject();
-  w->Key("c");
-  ckpt::WriteDoubleVector(w, g.centroid);
-  w->Key("b");
-  ckpt::WriteMatrix(w, g.basis);
-  w->Key("m");
-  ckpt::WriteIntVector(w, g.members);
-  w->EndObject();
-}
-
-Result<Group> ReadGroup(const json::Value& v) {
-  Group g;
-  MC_ASSIGN_OR_RETURN(const json::Value* c, ckpt::Field(v, "c"));
-  MC_ASSIGN_OR_RETURN(g.centroid, ckpt::ReadDoubleVector(*c));
-  MC_ASSIGN_OR_RETURN(const json::Value* b, ckpt::Field(v, "b"));
-  MC_ASSIGN_OR_RETURN(g.basis, ckpt::ReadMatrix(*b));
-  MC_ASSIGN_OR_RETURN(const json::Value* m, ckpt::Field(v, "m"));
-  MC_ASSIGN_OR_RETURN(g.members, ckpt::ReadIntVector(*m));
-  return g;
-}
-
-void WriteOrclusResultCkpt(json::Writer* w, const OrclusResult& r) {
-  w->BeginObject();
-  w->Key("energy");
-  w->Double(r.projected_energy);
-  w->Key("labels");
-  ckpt::WriteIntVector(w, r.clustering.labels);
-  w->Key("iterations");
-  w->Uint(r.clustering.iterations);
-  w->Key("converged");
-  w->Bool(r.clustering.converged);
-  w->Key("subspaces");
-  w->BeginArray();
-  for (const OrientedSubspace& s : r.subspaces) ckpt::WriteMatrix(w, s.basis);
-  w->EndArray();
-  w->EndObject();
-}
-
-Result<OrclusResult> ReadOrclusResultCkpt(const json::Value& v) {
-  OrclusResult r;
-  MC_ASSIGN_OR_RETURN(r.projected_energy, ckpt::NumberField(v, "energy"));
-  MC_ASSIGN_OR_RETURN(const json::Value* l, ckpt::Field(v, "labels"));
-  MC_ASSIGN_OR_RETURN(r.clustering.labels, ckpt::ReadIntVector(*l));
-  MC_ASSIGN_OR_RETURN(r.clustering.iterations,
-                      ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(r.clustering.converged,
-                      ckpt::BoolField(v, "converged"));
-  r.clustering.algorithm = "orclus";
-  MC_ASSIGN_OR_RETURN(const json::Value* subs, ckpt::Field(v, "subspaces"));
-  if (!subs->is_array()) {
-    return Status::ComputationError("checkpoint: ORCLUS subspaces malformed");
-  }
-  for (const json::Value& s : subs->array_items()) {
-    MC_ASSIGN_OR_RETURN(Matrix basis, ckpt::ReadMatrix(s));
-    r.subspaces.push_back({std::move(basis)});
-  }
-  return r;
-}
-
-// Shared checkpoint state of one RunOrclus invocation (mirrors the
-// k-means layout: outer restart bookkeeping + optional mid-restart seed).
-struct OrclusCkptState {
-  size_t step = 0;
-  size_t restart = 0;
-  Rng outer_rng;
-  bool have_best = false;
-  OrclusResult best;
-  Status last_error = Status::OK();
-  ConvergenceTrace trace;
-  bool mid_restart = false;
-  uint64_t restart_seed = 0;  ///< seed the interrupted restart was launched with
-  OrclusSeed seed;
-};
-
-void WriteOrclusPayload(json::Writer* w, const OrclusCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("restart");
-  w->Uint(s.restart);
-  w->Key("outer_rng");
-  ckpt::WriteRng(w, s.outer_rng);
-  w->Key("have_best");
-  w->Bool(s.have_best);
-  if (s.have_best) {
-    w->Key("best");
-    WriteOrclusResultCkpt(w, s.best);
-  }
-  w->Key("last_error");
-  ckpt::WriteStatus(w, s.last_error);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->Key("mid_restart");
-  w->Bool(s.mid_restart);
-  if (s.mid_restart) {
-    w->Key("restart_seed");
-    ckpt::WriteU64(w, s.restart_seed);
-    w->Key("next_iter");
-    w->Uint(s.seed.start_iter);
-    w->Key("groups");
-    w->BeginArray();
-    for (const Group& g : s.seed.groups) WriteGroup(w, g);
-    w->EndArray();
-    w->Key("qc");
-    w->Double(s.seed.qc);
-    w->Key("has_prev");
-    w->Bool(s.seed.has_prev);
-    w->Key("prev_energy");
-    w->Double(s.seed.has_prev ? s.seed.prev_energy : 0.0);
-    w->Key("iterations");
-    w->Uint(s.seed.iterations);
-    w->Key("rng");
-    ckpt::WriteRng(w, s.seed.rng);
-  }
-  w->EndObject();
-}
-
-Status ReadOrclusPayload(const json::Value& v, OrclusCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->restart, ckpt::SizeField(v, "restart"));
-  MC_ASSIGN_OR_RETURN(const json::Value* outer, ckpt::Field(v, "outer_rng"));
-  MC_ASSIGN_OR_RETURN(s->outer_rng, ckpt::ReadRng(*outer));
-  MC_ASSIGN_OR_RETURN(s->have_best, ckpt::BoolField(v, "have_best"));
-  if (s->have_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* b, ckpt::Field(v, "best"));
-    MC_ASSIGN_OR_RETURN(s->best, ReadOrclusResultCkpt(*b));
-  }
-  MC_ASSIGN_OR_RETURN(const json::Value* err, ckpt::Field(v, "last_error"));
-  MC_RETURN_IF_ERROR(ckpt::ReadStatus(*err, &s->last_error));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  MC_ASSIGN_OR_RETURN(s->mid_restart, ckpt::BoolField(v, "mid_restart"));
-  if (s->mid_restart) {
-    MC_ASSIGN_OR_RETURN(s->restart_seed, ckpt::U64Field(v, "restart_seed"));
-    MC_ASSIGN_OR_RETURN(s->seed.start_iter, ckpt::SizeField(v, "next_iter"));
-    MC_ASSIGN_OR_RETURN(const json::Value* gs, ckpt::Field(v, "groups"));
-    if (!gs->is_array()) {
-      return Status::ComputationError("checkpoint: ORCLUS groups malformed");
-    }
-    for (const json::Value& g : gs->array_items()) {
-      MC_ASSIGN_OR_RETURN(Group grp, ReadGroup(g));
-      s->seed.groups.push_back(std::move(grp));
-    }
-    MC_ASSIGN_OR_RETURN(s->seed.qc, ckpt::NumberField(v, "qc"));
-    MC_ASSIGN_OR_RETURN(s->seed.has_prev, ckpt::BoolField(v, "has_prev"));
-    MC_ASSIGN_OR_RETURN(s->seed.prev_energy,
-                        ckpt::NumberField(v, "prev_energy"));
-    MC_ASSIGN_OR_RETURN(s->seed.iterations, ckpt::SizeField(v, "iterations"));
-    MC_ASSIGN_OR_RETURN(const json::Value* rs, ckpt::Field(v, "rng"));
-    MC_ASSIGN_OR_RETURN(s->seed.rng, ckpt::ReadRng(*rs));
-  }
-  return Status::OK();
-}
-
 uint64_t OrclusFingerprint(const Matrix& data, const OrclusOptions& options) {
   Fingerprint fp;
   fp.Mix("orclus");
@@ -581,104 +435,29 @@ Result<OrclusResult> RunOrclus(const Matrix& data,
   }
   MC_RETURN_IF_ERROR(ValidateMatrix("ORCLUS", data));
   MULTICLUST_TRACE_SPAN("subspace.orclus.run");
-  BudgetTracker guard(options.budget, "orclus");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
-  Checkpointer* ck = options.budget.checkpoint;
-  const uint64_t fp = ck != nullptr ? OrclusFingerprint(data, options) : 0;
+  OrclusRun run("orclus", options.budget, options.diagnostics,
+                options.max_iters);
+  run.state.rng = Rng(options.seed);
+  run.Restore([&] { return OrclusFingerprint(data, options); },
+              [](const auto&) { return true; });
 
-  OrclusCkptState state;
-  state.outer_rng = Rng(options.seed);
-  bool resume_mid = false;
-  if (ck != nullptr) {
-    if (auto restored = ck->TryRestore("orclus", fp, options.diagnostics)) {
-      OrclusCkptState loaded;
-      const Status parsed = ReadOrclusPayload(restored->payload, &loaded);
-      if (parsed.ok()) {
-        state = std::move(loaded);
-        resume_mid = state.mid_restart;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "orclus",
-                   "checkpoint payload rejected (" + parsed.ToString() +
-                       "); cold start");
-      }
-    }
-  }
-
-  // `prepare` defers the seed/trace capture until a snapshot is actually
-  // serialized, keeping armed-but-not-due persistence points cheap.
-  const auto snapshot =
-      [&](bool flush, FunctionRef<void()> prepare = {}) -> Status {
-    if (ck == nullptr) return Status::OK();
-    const auto payload = [&](json::Writer* w) {
-      if (prepare) prepare();
-      if (options.diagnostics != nullptr) {
-        state.trace = options.diagnostics->trace;
-      }
-      WriteOrclusPayload(w, state);
-    };
-    const Status st = flush ? ck->Flush("orclus", fp, payload)
-                            : ck->AtPersistencePoint("orclus", fp,
-                                                     state.step, payload);
-    ++state.step;
-    return flush ? Status::OK() : st;
-  };
-
-  const size_t restarts = options.restarts == 0 ? 1 : options.restarts;
-  const size_t start_restart = state.restart;
-  for (size_t r = start_restart; r < restarts; ++r) {
-    const bool resuming = resume_mid && r == start_restart;
-    // A resumed restart re-uses the seed it was originally launched with
-    // (the outer rng was saved *after* the draw, so it must not re-draw).
-    const uint64_t restart_seed =
-        resuming ? state.restart_seed : state.outer_rng.NextU64();
-    if (r > 0 && guard.DeadlineExpired()) break;
-    MC_METRIC_COUNT("subspace.orclus.restarts", 1);
-    const OrclusSeed* seed = resuming ? &state.seed : nullptr;
-    const OrclusPersistFn persist =
-        ck == nullptr
-            ? OrclusPersistFn()
-            : [&](OrclusSeedFn make, bool flush) -> Status {
-                return snapshot(flush, [&] {
-                  state.restart = r;
-                  state.mid_restart = true;
-                  state.restart_seed = restart_seed;
-                  state.seed = make();
-                });
-              };
-    Result<OrclusResult> run = RunOrclusOnce(data, options, restart_seed,
-                                             &guard, r, &recorder, seed,
-                                             persist);
-    if (!run.ok()) {
-      if (run.status().code() == StatusCode::kCancelled ||
-          run.status().code() == StatusCode::kAborted) {
-        return run.status();
-      }
-      state.last_error = run.status();
-    } else if (!state.have_best ||
-               run->projected_energy < state.best.projected_energy) {
-      state.best = std::move(*run);
-      state.have_best = true;
-      recorder.SetWinner(r);
-    }
-    if (ck != nullptr && r + 1 < restarts) {
-      // Restart boundary (covers the converged / skipped exits).
-      state.restart = r + 1;
-      state.mid_restart = false;
-      state.seed = OrclusSeed();
-      MC_RETURN_IF_ERROR(snapshot(/*flush=*/false));
-    }
-  }
-  if (!state.have_best) return state.last_error;
-  recorder.Finish("orclus", state.best.clustering.iterations,
-                  state.best.clustering.converged);
-  return std::move(state.best);
+  // Each fresh restart seeds its own stream from the outer one; an
+  // interrupted restart resumes on the stream saved in its seed.
+  MC_ASSIGN_OR_RETURN(
+      OrclusResult best,
+      run.Restarts(
+          std::max<size_t>(options.restarts, 1),
+          [&](size_t r, OrclusSeed* resume) {
+            const uint64_t seed =
+                resume != nullptr ? 0 : run.state.rng.NextU64();
+            MC_METRIC_COUNT("subspace.orclus.restarts", 1);
+            return RunOrclusOnce(data, options, seed, run, r, resume);
+          },
+          [](const OrclusResult& a, const OrclusResult& b) {
+            return a.projected_energy < b.projected_energy;
+          }));
+  run.Finish(best.clustering.iterations, best.clustering.converged);
+  return best;
 }
 
 }  // namespace multiclust

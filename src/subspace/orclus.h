@@ -43,6 +43,8 @@ struct OrientedSubspace {
   /// cluster (projection onto them yields small projected energy for
   /// members).
   Matrix basis;
+
+  void Visit(ckpt::Archive& ar);  ///< checkpoint serialization
 };
 
 /// Full result.
@@ -52,6 +54,8 @@ struct OrclusResult {
   /// Mean projected energy of objects in their cluster's subspace
   /// (the ORCLUS objective; lower is better).
   double projected_energy = 0.0;
+
+  void Visit(ckpt::Archive& ar);  ///< checkpoint serialization
 };
 
 /// ORCLUS: seeds -> iterated {assign by projected distance in each seed's

@@ -7,8 +7,8 @@
 #include <string>
 #include <utility>
 
-#include "common/checkpoint.h"
 #include "common/fault.h"
+#include "common/iterative_run.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -37,11 +37,10 @@ double FullDistance(const Matrix& data, size_t i, size_t j) {
   return std::sqrt(s);
 }
 
-// Checkpoint state between medoid-search rounds. The candidate pool is
-// serialized (not recomputed) because building it consumes the rng stream
-// the loop's bad-medoid replacement continues from.
-struct ProclusCkptState {
-  size_t step = 0;
+// Medoid-search state between rounds. The candidate pool is checkpointed
+// (not recomputed) because building it consumes the rng stream the loop's
+// bad-medoid replacement continues from.
+struct ProclusState {
   size_t next_iter = 0;
   Rng rng;
   std::vector<size_t> pool;
@@ -49,73 +48,22 @@ struct ProclusCkptState {
   bool has_best = false;  // best_cost starts at +inf, unrepresentable in JSON
   std::vector<int> best_labels;
   std::vector<std::vector<size_t>> best_dims;
-  double best_cost = 0.0;
+  double best_cost = std::numeric_limits<double>::infinity();
   size_t iterations = 0;
-  ConvergenceTrace trace;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("next_iter", next_iter)
+        .Field("rng", rng)
+        .Field("pool", pool)
+        .Field("medoids", medoids)
+        .Field("iterations", iterations);
+    ar.Optional("has_best", has_best, [&] {
+      ar.Field("best_labels", best_labels)
+          .Field("best_dims", best_dims)
+          .Field("best_cost", best_cost);
+    });
+  }
 };
-
-void WriteProclusPayload(json::Writer* w, const ProclusCkptState& s) {
-  w->BeginObject();
-  w->Key("step");
-  w->Uint(s.step);
-  w->Key("next_iter");
-  w->Uint(s.next_iter);
-  w->Key("rng");
-  ckpt::WriteRng(w, s.rng);
-  w->Key("pool");
-  ckpt::WriteSizeVector(w, s.pool);
-  w->Key("medoids");
-  ckpt::WriteSizeVector(w, s.medoids);
-  w->Key("has_best");
-  w->Bool(s.has_best);
-  if (s.has_best) {
-    w->Key("best_labels");
-    ckpt::WriteIntVector(w, s.best_labels);
-    w->Key("best_dims");
-    w->BeginArray();
-    for (const std::vector<size_t>& dims : s.best_dims) {
-      ckpt::WriteSizeVector(w, dims);
-    }
-    w->EndArray();
-    w->Key("best_cost");
-    w->Double(s.best_cost);
-  }
-  w->Key("iterations");
-  w->Uint(s.iterations);
-  w->Key("trace");
-  ckpt::WriteTrace(w, s.trace);
-  w->EndObject();
-}
-
-Status ReadProclusPayload(const json::Value& v, ProclusCkptState* s) {
-  MC_ASSIGN_OR_RETURN(s->step, ckpt::SizeField(v, "step"));
-  MC_ASSIGN_OR_RETURN(s->next_iter, ckpt::SizeField(v, "next_iter"));
-  MC_ASSIGN_OR_RETURN(const json::Value* rng, ckpt::Field(v, "rng"));
-  MC_ASSIGN_OR_RETURN(s->rng, ckpt::ReadRng(*rng));
-  MC_ASSIGN_OR_RETURN(const json::Value* pool, ckpt::Field(v, "pool"));
-  MC_ASSIGN_OR_RETURN(s->pool, ckpt::ReadSizeVector(*pool));
-  MC_ASSIGN_OR_RETURN(const json::Value* med, ckpt::Field(v, "medoids"));
-  MC_ASSIGN_OR_RETURN(s->medoids, ckpt::ReadSizeVector(*med));
-  MC_ASSIGN_OR_RETURN(s->has_best, ckpt::BoolField(v, "has_best"));
-  if (s->has_best) {
-    MC_ASSIGN_OR_RETURN(const json::Value* bl, ckpt::Field(v, "best_labels"));
-    MC_ASSIGN_OR_RETURN(s->best_labels, ckpt::ReadIntVector(*bl));
-    MC_ASSIGN_OR_RETURN(const json::Value* bd, ckpt::Field(v, "best_dims"));
-    if (!bd->is_array()) {
-      return Status::ComputationError(
-          "checkpoint: PROCLUS best_dims malformed");
-    }
-    for (const json::Value& dims : bd->array_items()) {
-      MC_ASSIGN_OR_RETURN(std::vector<size_t> ds, ckpt::ReadSizeVector(dims));
-      s->best_dims.push_back(std::move(ds));
-    }
-    MC_ASSIGN_OR_RETURN(s->best_cost, ckpt::NumberField(v, "best_cost"));
-  }
-  MC_ASSIGN_OR_RETURN(s->iterations, ckpt::SizeField(v, "iterations"));
-  MC_ASSIGN_OR_RETURN(const json::Value* tr, ckpt::Field(v, "trace"));
-  MC_ASSIGN_OR_RETURN(s->trace, ckpt::ReadTrace(*tr));
-  return Status::OK();
-}
 
 uint64_t ProclusFingerprint(const Matrix& data,
                             const ProclusOptions& options) {
@@ -165,118 +113,54 @@ Result<ProclusResult> RunProclus(const Matrix& data,
   }
   MC_RETURN_IF_ERROR(ValidateMatrix("PROCLUS", data));
   MULTICLUST_TRACE_SPAN("subspace.proclus.run");
-  BudgetTracker guard(options.budget, "proclus");
-  ConvergenceRecorder recorder(options.diagnostics, &guard);
-  recorder.SetExpectedIterations(
-      options.budget.max_iterations != 0
-          ? std::min(options.max_iters, options.budget.max_iterations)
-          : options.max_iters);
-  Rng rng(options.seed);
+  IterativeRun<ProclusState> run("proclus", options.budget,
+                                 options.diagnostics, options.max_iters);
   const size_t k = options.k;
-
-  std::vector<size_t> pool;
-  std::vector<size_t> medoids;
-  std::vector<int> best_labels(n, -1);
-  std::vector<std::vector<size_t>> best_dims(k);
-  double best_cost = std::numeric_limits<double>::infinity();
-  size_t iterations = 0;
-  bool stopped_early = false;
-  size_t start_iter = 0;
-
-  // --- Checkpoint/resume ----------------------------------------------
-  Checkpointer* ckp = options.budget.checkpoint;
-  const uint64_t fp = ckp != nullptr ? ProclusFingerprint(data, options) : 0;
-  size_t ckpt_step = 0;
-  bool resumed = false;
-  if (ckp != nullptr) {
-    if (auto restored = ckp->TryRestore("proclus", fp, options.diagnostics)) {
-      ProclusCkptState state;
-      const Status parsed = ReadProclusPayload(restored->payload, &state);
-      if (parsed.ok() && state.medoids.size() == k &&
-          state.best_labels.size() == (state.has_best ? n : 0)) {
-        rng = state.rng;
-        pool = std::move(state.pool);
-        medoids = std::move(state.medoids);
-        if (state.has_best) {
-          best_labels = std::move(state.best_labels);
-          best_dims = std::move(state.best_dims);
-          best_cost = state.best_cost;
-        }
-        iterations = state.iterations;
-        start_iter = state.next_iter;
-        ckpt_step = state.step;
-        resumed = true;
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->trace = state.trace;
-        }
-      } else {
-        AddWarning(options.diagnostics, "proclus",
-                   "checkpoint payload rejected (" +
-                       (parsed.ok() ? std::string("state shape mismatch")
-                                    : parsed.message()) +
-                       "); cold start");
-      }
-    }
-  }
-
+  ProclusState& st = run.state;
+  const bool resumed = run.Restore(
+      [&] { return ProclusFingerprint(data, options); },
+      [&](const ProclusState& s) {
+        return s.medoids.size() == k &&
+               s.best_labels.size() == (s.has_best ? n : 0);
+      });
   if (!resumed) {
     // --- Initialisation: greedy farthest-point candidate pool. ---
+    st.rng = Rng(options.seed);
     const size_t pool_size = std::min(n, options.a_factor * k);
-    pool.push_back(rng.NextIndex(n));
+    st.pool.push_back(st.rng.NextIndex(n));
     std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
-    while (pool.size() < pool_size) {
+    while (st.pool.size() < pool_size) {
       for (size_t i = 0; i < n; ++i) {
         min_dist[i] =
-            std::min(min_dist[i], FullDistance(data, i, pool.back()));
+            std::min(min_dist[i], FullDistance(data, i, st.pool.back()));
       }
       size_t farthest = 0;
       for (size_t i = 1; i < n; ++i) {
         if (min_dist[i] > min_dist[farthest]) farthest = i;
       }
-      pool.push_back(farthest);
+      st.pool.push_back(farthest);
     }
     // Current medoids: the first k pool members.
-    medoids.assign(pool.begin(), pool.begin() + k);
+    st.medoids.assign(st.pool.begin(), st.pool.begin() + k);
   }
+  if (!st.has_best) {
+    st.best_labels.assign(n, -1);
+    st.best_dims.assign(k, {});
+  }
+  std::vector<size_t>& medoids = st.medoids;
+  bool stopped_early = false;
 
-  // The pool/labels/trace capture lives inside the payload writer, so an
-  // armed-but-not-due persistence point pays only the policy check.
-  auto snapshot = [&](size_t next_iter, bool flush) -> Status {
-    auto payload = [&](json::Writer* w) {
-      ProclusCkptState s;
-      s.step = ckpt_step;
-      s.next_iter = next_iter;
-      s.rng = rng;
-      s.pool = pool;
-      s.medoids = medoids;
-      s.has_best = std::isfinite(best_cost);
-      if (s.has_best) {
-        s.best_labels = best_labels;
-        s.best_dims = best_dims;
-        s.best_cost = best_cost;
-      }
-      s.iterations = iterations;
-      if (options.diagnostics != nullptr) s.trace = options.diagnostics->trace;
-      WriteProclusPayload(w, s);
-    };
-    Status st = flush ? ckp->Flush("proclus", fp, payload)
-                      : ckp->AtPersistencePoint("proclus", fp, ckpt_step,
-                                                payload);
-    ++ckpt_step;
-    return flush ? Status::OK() : st;
-  };
-  // ---------------------------------------------------------------------
-
-  for (size_t iter = start_iter; iter < options.max_iters; ++iter) {
-    if (guard.Cancelled()) {
-      if (ckp != nullptr) (void)snapshot(iter, /*flush=*/true);
-      return guard.CancelledStatus();
+  for (size_t iter = st.next_iter; iter < options.max_iters; ++iter) {
+    st.next_iter = iter;
+    if (run.guard().Cancelled()) {
+      run.Flush();
+      return run.guard().CancelledStatus();
     }
-    if (guard.ShouldStop(iter)) {
+    if (run.guard().ShouldStop(iter)) {
       stopped_early = true;
       break;
     }
-    iterations = iter + 1;
+    st.iterations = iter + 1;
     MC_METRIC_COUNT("subspace.proclus.iterations", 1);
     MULTICLUST_TRACE_SPAN("subspace.proclus.round");
     // --- Dimension selection per medoid. ---
@@ -387,15 +271,16 @@ Result<ProclusResult> RunProclus(const Matrix& data,
           "PROCLUS: non-finite segmental cost at iteration " +
           std::to_string(iter));
     }
-    if (recorder.enabled()) {
+    if (run.recorder().enabled()) {
       const double delta =
-          std::isfinite(best_cost) ? std::fabs(best_cost - cost) : 0.0;
-      recorder.Record(0, iter, cost, delta, 0);
+          st.has_best ? std::fabs(st.best_cost - cost) : 0.0;
+      run.recorder().Record(0, iter, cost, delta, 0);
     }
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_labels = labels;
-      best_dims = dims;
+    if (cost < st.best_cost) {
+      st.has_best = true;
+      st.best_cost = cost;
+      st.best_labels = labels;
+      st.best_dims = dims;
     }
 
     // --- Replace the medoid of the smallest cluster with a random pool
@@ -404,25 +289,24 @@ Result<ProclusResult> RunProclus(const Matrix& data,
     for (size_t c = 1; c < k; ++c) {
       if (sizes[c] < sizes[worst]) worst = c;
     }
-    medoids[worst] = pool[rng.NextIndex(pool.size())];
+    medoids[worst] = st.pool[st.rng.NextIndex(st.pool.size())];
     // Persistence point: the round is complete (best-so-far updated, bad
     // medoid replaced). Persisting after the final round is harmless — a
     // resume falls straight through to result construction.
-    if (ckp != nullptr) {
-      MC_RETURN_IF_ERROR(snapshot(iter + 1, /*flush=*/false));
-    }
+    st.next_iter = iter + 1;
+    MC_RETURN_IF_ERROR(run.Persist());
   }
 
-  recorder.Finish("proclus", iterations, !stopped_early);
+  run.Finish(st.iterations, !stopped_early);
   ProclusResult result;
-  result.clustering.labels = std::move(best_labels);
+  result.clustering.labels = std::move(st.best_labels);
   result.clustering.algorithm = "proclus";
-  result.clustering.quality = -best_cost;
-  result.clustering.iterations = iterations;
+  result.clustering.quality = -st.best_cost;
+  result.clustering.iterations = st.iterations;
   // PROCLUS is a fixed-round medoid search, so "converged" means the full
   // schedule ran rather than being cut short by a budget.
   result.clustering.converged = !stopped_early;
-  result.dims = std::move(best_dims);
+  result.dims = std::move(st.best_dims);
   return result;
 }
 

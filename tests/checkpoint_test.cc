@@ -6,9 +6,11 @@
 // reproduce the uninterrupted run's labels and objectives bit-identically.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -83,7 +85,7 @@ TEST(CheckpointStoreTest, WriteRestoreRoundTrip) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->sequence, 1u);
   EXPECT_EQ(restored->payload.GetNumber("x", 0.0), 0.1 + 0.2);
-  auto v = ckpt::U64Field(restored->payload, "v");
+  auto v = ckpt::ReadU64(*restored->payload.Find("v"));
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 0xDEADBEEFCAFEBABEULL);
 }
@@ -251,9 +253,11 @@ TEST_F(CorruptionTest, FlippedByteInPayload) {
 
 TEST_F(CorruptionTest, WrongSchemaVersion) {
   std::string text = ReadFile();
-  const size_t pos = text.find("\"schema_version\":1");
+  const std::string current =
+      "\"schema_version\":" + std::to_string(kCheckpointSchemaVersion);
+  const size_t pos = text.find(current);
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 18, "\"schema_version\":9");
+  text.replace(pos, current.size(), "\"schema_version\":9");
   WriteFile(text);
   ExpectColdStart("unsupported schema");
 }
@@ -310,15 +314,17 @@ TEST(CheckpointSerdeTest, RngRoundTripContinuesStream) {
   a.NextGaussian();  // prime the Box-Muller cache
 
   json::Writer w;
-  ckpt::WriteRng(&w, a);
+  ckpt::Archive(&w).Value(a);
   auto parsed = json::Parse(w.str());
   ASSERT_TRUE(parsed.ok());
-  auto b = ckpt::ReadRng(*parsed);
-  ASSERT_TRUE(b.ok());
+  Rng b;
+  ckpt::Archive in(*parsed);
+  in.Value(b);
+  ASSERT_TRUE(in.status().ok());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a.NextU64(), b->NextU64());
+    EXPECT_EQ(a.NextU64(), b.NextU64());
   }
-  EXPECT_EQ(a.NextGaussian(), b->NextGaussian());
+  EXPECT_EQ(a.NextGaussian(), b.NextGaussian());
 }
 
 TEST(CheckpointSerdeTest, MatrixRoundTripBitIdentical) {
@@ -328,18 +334,144 @@ TEST(CheckpointSerdeTest, MatrixRoundTripBitIdentical) {
     for (size_t j = 0; j < 2; ++j) m.at(i, j) = rng.NextGaussian() * 1e-7;
   }
   json::Writer w;
-  ckpt::WriteMatrix(&w, m);
+  ckpt::Archive(&w).Value(m);
   auto parsed = json::Parse(w.str());
   ASSERT_TRUE(parsed.ok());
-  auto back = ckpt::ReadMatrix(*parsed);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->rows(), 3u);
-  ASSERT_EQ(back->cols(), 2u);
+  Matrix back;
+  ckpt::Archive in(*parsed);
+  in.Value(back);
+  ASSERT_TRUE(in.status().ok());
+  ASSERT_EQ(back.rows(), 3u);
+  ASSERT_EQ(back.cols(), 2u);
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(m.at(i, j), back->at(i, j));  // bitwise, not approx
+      EXPECT_EQ(m.at(i, j), back.at(i, j));  // bitwise, not approx
     }
   }
+}
+
+// A payload exercising every Archive field type, including the values
+// JSON cannot carry natively.
+struct AllFields {
+  struct Inner {
+    int x = 0;
+    void Visit(ckpt::Archive& ar) { ar.Field("x", x); }
+  };
+
+  bool flag = true;
+  int count = -7;
+  size_t size = 42;
+  uint64_t big = 0xFEDCBA9876543211ULL;  // > 2^53: a double would round it
+  std::vector<double> doubles = {-0.0,
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 0.1 + 0.2};
+  std::string text = "quote \" backslash \\ newline \n";
+  StopReason reason = StopReason::kDeadline;
+  Matrix matrix = Matrix::Identity(3);
+  Rng rng{99};
+  Status status = Status::IoError("disk full");
+  RunDiagnostics diag;
+  std::vector<std::vector<int>> nested = {{1, -2}, {}, {3}};
+  std::vector<Inner> inners = {{4}, {-5}};
+  bool present = false;
+  double optional_value = 2.5;
+
+  void Visit(ckpt::Archive& ar) {
+    ar.Field("flag", flag)
+        .Field("count", count)
+        .Field("size", size)
+        .Field("big", big)
+        .Field("doubles", doubles)
+        .Field("text", text)
+        .Field("reason", reason)
+        .Field("matrix", matrix)
+        .Field("rng", rng)
+        .Field("status", status)
+        .Field("diag", diag)
+        .Field("nested", nested)
+        .Field("inners", inners);
+    ar.Optional("present", present,
+                [&] { ar.Field("optional_value", optional_value); });
+  }
+};
+
+AllFields MakeAllFields(bool present) {
+  AllFields f;
+  f.present = present;
+  for (int i = 0; i < 5; ++i) f.rng.NextU64();
+  f.rng.NextGaussian();  // mid-stream, with a cached Box-Muller value
+  f.diag.algorithm = "kmeans";
+  f.diag.stop_reason = StopReason::kMaxIterations;
+  f.diag.warnings = {"kmeans: w"};
+  f.diag.trace.winning_restart = 1;
+  f.diag.trace.points.push_back({1, 2, -3.5, 0.25, 1, -1.0});
+  return f;
+}
+
+std::string WriteAll(AllFields& f) {
+  json::Writer w;
+  ckpt::Archive(&w).Value(f);
+  return std::move(w).str();
+}
+
+// Reads `text` into a fresh AllFields; the Archive's status.
+Status ReadAll(const std::string& text, AllFields* out) {
+  auto parsed = json::Parse(text);
+  if (!parsed.ok()) return parsed.status();
+  ckpt::Archive ar(*parsed);
+  ar.Value(*out);
+  return ar.status();
+}
+
+TEST(CheckpointSerdeTest, ArchiveWriteReadWriteIsByteIdentical) {
+  for (bool present : {false, true}) {
+    AllFields original = MakeAllFields(present);
+    const std::string first = WriteAll(original);
+    AllFields restored;
+    restored.present = !present;
+    restored.optional_value = 0.0;
+    ASSERT_TRUE(ReadAll(first, &restored).ok()) << first;
+    EXPECT_EQ(WriteAll(restored), first);
+
+    EXPECT_EQ(restored.present, present);
+    EXPECT_EQ(restored.big, original.big);
+    EXPECT_TRUE(std::signbit(restored.doubles[0]));  // -0.0 survives
+    EXPECT_TRUE(std::isnan(restored.doubles[1]));    // NaN/inf read as NaN
+    EXPECT_EQ(restored.doubles[4], 0.1 + 0.2);
+    EXPECT_EQ(restored.text, original.text);
+    EXPECT_EQ(restored.reason, StopReason::kDeadline);
+    EXPECT_EQ(restored.status.code(), StatusCode::kIoError);
+    EXPECT_EQ(restored.diag.trace.points.size(), 1u);
+    EXPECT_EQ(restored.rng.NextU64(), original.rng.NextU64());
+    EXPECT_EQ(restored.rng.NextGaussian(), original.rng.NextGaussian());
+  }
+}
+
+TEST(CheckpointSerdeTest, ArchiveRejectsMissingAndMistypedFields) {
+  AllFields original = MakeAllFields(true);
+  const std::string text = WriteAll(original);
+  const auto expect_rejected = [&](const std::string& from,
+                                   const std::string& to,
+                                   const std::string& needle) {
+    std::string edited = text;
+    const size_t pos = edited.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    edited.replace(pos, from.size(), to);
+    AllFields restored;
+    const Status st = ReadAll(edited, &restored);
+    EXPECT_EQ(st.code(), StatusCode::kComputationError) << st.ToString();
+    EXPECT_NE(st.message().find(needle), std::string::npos)
+        << st.ToString();
+  };
+  // Missing field.
+  expect_rejected("\"count\":-7,", "", "'count' is missing");
+  // A string field holding a number.
+  expect_rejected("\"algorithm\":\"kmeans\"", "\"algorithm\":3",
+                  "'algorithm' is not a string");
+  // An out-of-range enum (StopReason has four values).
+  expect_rejected("\"reason\":2", "\"reason\":9", "'reason' is out of range");
 }
 
 TEST(CheckpointSerdeTest, FingerprintSensitivity) {
@@ -357,15 +489,39 @@ TEST(CheckpointSerdeTest, FingerprintSensitivity) {
 
 #if defined(MULTICLUST_FAULT_INJECTION)
 
-// Runs `run()` killing it at persistence point `crash_step` (snapshot-then-
-// abort), then resumes from the checkpoint directory. Returns the number of
-// crash points exercised before the run completes without the fault firing.
+// Runs `run(ck, cancel, diag)` killing it at persistence point
+// `crash_step` (snapshot-then-abort), resumes it once under a pre-cancelled
+// token, then resumes it to completion from the checkpoint directory.
+// Returns the number of crash points exercised before the run completes
+// without the fault firing.
 //
-// The oracle: every resumed final result must equal `baseline` bit-for-bit
-// (the caller's comparator enforces it).
+// The oracle: every completed result must equal the baseline bit-for-bit
+// (the caller's `compare` enforces it), and its convergence trace must
+// equal `want` (winner; every point's restart, iteration, objective, delta
+// and reseeds — budget_remaining_ms is wall-clock). The cancelled resume
+// must stop with kCancelled and flush a snapshot at its first cancellation
+// check; when the restored state has no iteration left to run it completes
+// instead, and that result must match too. `flushes_on_cancel` is false
+// for composites whose cancellation check precedes the checkpointed
+// algorithm (nothing new to flush; the crash snapshot remains).
 template <typename RunFn, typename CompareFn>
 int CrashAtEveryStep(const std::string& site, RunFn&& run,
-                     CompareFn&& compare, int max_steps = 200) {
+                     CompareFn&& compare, const ConvergenceTrace& want,
+                     bool flushes_on_cancel = true, int max_steps = 200) {
+  const auto check = [&](const auto& result, const RunDiagnostics& diag) {
+    compare(result);
+    EXPECT_EQ(diag.trace.winning_restart, want.winning_restart) << site;
+    ASSERT_EQ(diag.trace.points.size(), want.points.size()) << site;
+    for (size_t i = 0; i < want.points.size(); ++i) {
+      const ConvergencePoint& got = diag.trace.points[i];
+      const ConvergencePoint& exp = want.points[i];
+      EXPECT_EQ(got.restart, exp.restart) << site << " point " << i;
+      EXPECT_EQ(got.iteration, exp.iteration) << site << " point " << i;
+      EXPECT_EQ(got.objective, exp.objective) << site << " point " << i;
+      EXPECT_EQ(got.delta, exp.delta) << site << " point " << i;
+      EXPECT_EQ(got.reseeds, exp.reseeds) << site << " point " << i;
+    }
+  };
   int exercised = 0;
   for (int crash_step = 0; crash_step < max_steps; ++crash_step) {
     TempDir dir;
@@ -379,25 +535,45 @@ int CrashAtEveryStep(const std::string& site, RunFn&& run,
     spec.at_iteration = static_cast<size_t>(crash_step);
     spec.max_fires = 1;
     fault::Arm(spec);
-    auto crashed = run(&ck);
+    RunDiagnostics crash_diag;
+    auto crashed = run(&ck, nullptr, &crash_diag);
     fault::Reset();
     if (crashed.ok()) {
       // The run outlived every persistence point: the sweep is complete.
-      compare(*crashed);
+      check(*crashed, crash_diag);
       return exercised;
     }
     EXPECT_EQ(crashed.status().code(), StatusCode::kAborted)
         << crashed.status().ToString();
 
-    // Resume: same directory, no armed fault.
+    // Resume under a pre-cancelled token: same directory, no armed fault.
+    CancelToken cancelled;
+    cancelled.Cancel();
+    Checkpointer cancel_ck(dir.path(), policy);
+    RunDiagnostics cancel_diag;
+    auto stopped = run(&cancel_ck, &cancelled, &cancel_diag);
+    if (stopped.ok()) {
+      check(*stopped, cancel_diag);
+    } else {
+      EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled)
+          << site << " at step " << crash_step << ": "
+          << stopped.status().ToString();
+      if (flushes_on_cancel) {
+        EXPECT_GE(cancel_ck.snapshots_written(), 1u)
+            << site << ": no flush on cancellation at step " << crash_step;
+      }
+    }
+
+    // Resume to completion.
     Checkpointer resume_ck(dir.path(), policy);
-    auto resumed = run(&resume_ck);
+    RunDiagnostics diag;
+    auto resumed = run(&resume_ck, nullptr, &diag);
     if (!resumed.ok()) {
       ADD_FAILURE() << site << ": resume after crash at step " << crash_step
                     << " failed: " << resumed.status().ToString();
       return exercised;
     }
-    compare(*resumed);
+    check(*resumed, diag);
     ++exercised;
   }
   ADD_FAILURE() << site << ": run still crashing after " << max_steps
@@ -413,21 +589,24 @@ TEST(CrashResumeTest, KMeansBitIdenticalAtEveryStep) {
   opts.max_iters = 12;
   opts.seed = 77;
 
-  auto baseline = RunKMeans(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     KMeansOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunKMeans(data, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const Clustering& c) {
     EXPECT_EQ(c.labels, baseline->labels);
     EXPECT_EQ(c.quality, baseline->quality);  // bitwise
     EXPECT_EQ(c.iterations, baseline->iterations);
     EXPECT_EQ(c.converged, baseline->converged);
   };
-  const int exercised = CrashAtEveryStep("kmeans", run, compare);
+  const int exercised = CrashAtEveryStep("kmeans", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -439,21 +618,24 @@ TEST(CrashResumeTest, GmmBitIdenticalAtEveryStep) {
   opts.max_iters = 10;
   opts.seed = 5;
 
-  auto baseline = RunGmm(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     GmmOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunGmm(data, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const Clustering& c) {
     EXPECT_EQ(c.labels, baseline->labels);
     EXPECT_EQ(c.quality, baseline->quality);  // bitwise log-likelihood
     EXPECT_EQ(c.iterations, baseline->iterations);
     EXPECT_EQ(c.converged, baseline->converged);
   };
-  const int exercised = CrashAtEveryStep("gmm", run, compare);
+  const int exercised = CrashAtEveryStep("gmm", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -464,24 +646,30 @@ TEST(CrashResumeTest, SpectralBitIdenticalAtEveryStep) {
   opts.kmeans_restarts = 2;
   opts.seed = 9;
 
-  auto baseline = RunSpectral(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
   // Spectral checkpoints live in the embedded k-means slot, so the crash
   // site is "kmeans"; the whole front half (affinity, eigensolve, embed)
   // is deterministic recomputation on resume.
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     SpectralOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunSpectral(data, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const Clustering& c) {
     EXPECT_EQ(c.labels, baseline->labels);
     EXPECT_EQ(c.quality, baseline->quality);
     EXPECT_EQ(c.iterations, baseline->iterations);
     EXPECT_EQ(c.converged, baseline->converged);
   };
-  const int exercised = CrashAtEveryStep("kmeans", run, compare);
+  // A pre-cancelled spectral run stops before its embedded k-means, so
+  // the cancel leg flushes nothing; the crash snapshot remains.
+  const int exercised = CrashAtEveryStep("kmeans", run, compare, want.trace,
+                                         /*flushes_on_cancel=*/false);
   EXPECT_GT(exercised, 0);
 }
 
@@ -493,14 +681,17 @@ TEST(CrashResumeTest, DecKMeansBitIdenticalAtEveryStep) {
   opts.max_iters = 8;
   opts.seed = 13;
 
-  auto baseline = RunDecorrelatedKMeans(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     DecKMeansOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunDecorrelatedKMeans(data, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const DecKMeansResult& r) {
     ASSERT_EQ(r.solutions.size(), baseline->solutions.size());
     for (size_t t = 0; t < r.solutions.size(); ++t) {
@@ -512,7 +703,8 @@ TEST(CrashResumeTest, DecKMeansBitIdenticalAtEveryStep) {
     EXPECT_EQ(r.iterations, baseline->iterations);
     EXPECT_EQ(r.converged, baseline->converged);
   };
-  const int exercised = CrashAtEveryStep("dec-kmeans", run, compare);
+  const int exercised =
+      CrashAtEveryStep("dec-kmeans", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -531,20 +723,23 @@ TEST(CrashResumeTest, CoalaBitIdenticalAtEveryStep) {
   opts.k = 3;
   opts.w = 0.8;
 
-  auto baseline = RunCoala(data, given, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     CoalaOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunCoala(data, given, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const Clustering& c) {
     EXPECT_EQ(c.labels, baseline->labels);
     EXPECT_EQ(c.iterations, baseline->iterations);
     EXPECT_EQ(c.converged, baseline->converged);
   };
-  const int exercised = CrashAtEveryStep("coala", run, compare);
+  const int exercised = CrashAtEveryStep("coala", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -557,14 +752,17 @@ TEST(CrashResumeTest, CoEmBitIdenticalAtEveryStep) {
   opts.patience = 3;
   opts.seed = 17;
 
-  auto baseline = RunCoEm(view1, view2, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     CoEmOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunCoEm(view1, view2, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const CoEmResult& r) {
     EXPECT_EQ(r.labels_view1, baseline->labels_view1);
     EXPECT_EQ(r.labels_view2, baseline->labels_view2);
@@ -575,7 +773,7 @@ TEST(CrashResumeTest, CoEmBitIdenticalAtEveryStep) {
     EXPECT_EQ(r.iterations, baseline->iterations);
     EXPECT_EQ(r.converged, baseline->converged);
   };
-  const int exercised = CrashAtEveryStep("co-em", run, compare);
+  const int exercised = CrashAtEveryStep("co-em", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -589,14 +787,17 @@ TEST(CrashResumeTest, OrclusBitIdenticalAtEveryStep) {
   opts.restarts = 2;
   opts.seed = 23;
 
-  auto baseline = RunOrclus(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     OrclusOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunOrclus(data, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const OrclusResult& r) {
     EXPECT_EQ(r.clustering.labels, baseline->clustering.labels);
     EXPECT_EQ(r.projected_energy, baseline->projected_energy);  // bitwise
@@ -604,7 +805,7 @@ TEST(CrashResumeTest, OrclusBitIdenticalAtEveryStep) {
     EXPECT_EQ(r.clustering.converged, baseline->clustering.converged);
     ASSERT_EQ(r.subspaces.size(), baseline->subspaces.size());
   };
-  const int exercised = CrashAtEveryStep("orclus", run, compare);
+  const int exercised = CrashAtEveryStep("orclus", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -616,14 +817,17 @@ TEST(CrashResumeTest, ProclusBitIdenticalAtEveryStep) {
   opts.max_iters = 8;
   opts.seed = 29;
 
-  auto baseline = RunProclus(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     ProclusOptions o = opts;
     o.budget.checkpoint = ck;
+    o.budget.cancel = cancel;
+    o.diagnostics = diag;
     return RunProclus(data, o);
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const ProclusResult& r) {
     EXPECT_EQ(r.clustering.labels, baseline->clustering.labels);
     EXPECT_EQ(r.clustering.quality, baseline->clustering.quality);
@@ -631,7 +835,7 @@ TEST(CrashResumeTest, ProclusBitIdenticalAtEveryStep) {
     EXPECT_EQ(r.clustering.converged, baseline->clustering.converged);
     EXPECT_EQ(r.dims, baseline->dims);
   };
-  const int exercised = CrashAtEveryStep("proclus", run, compare);
+  const int exercised = CrashAtEveryStep("proclus", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -673,18 +877,25 @@ TEST(CrashResumeTest, PipelineInnerCrashBitIdenticalAtEveryStep) {
   opts.k = 3;
   opts.seed = 43;
 
-  auto baseline = DiscoverMultipleClusterings(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     DiscoveryOptions o = opts;
     o.budget.checkpoint = ck;
-    return DiscoverMultipleClusterings(data, o);
+    o.budget.cancel = cancel;
+    auto report = DiscoverMultipleClusterings(data, o);
+    // The pipeline has no diagnostics sink of its own: the trace leg
+    // checks the solving attempt's trace, restored through the ledger.
+    if (report.ok()) *diag = report->attempts.back();
+    return report;
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const DiscoveryReport& r) {
     ExpectReportsEqual(r, *baseline);
   };
-  const int exercised = CrashAtEveryStep("dec-kmeans", run, compare);
+  const int exercised =
+      CrashAtEveryStep("dec-kmeans", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
@@ -700,18 +911,24 @@ TEST(CrashResumeTest, PipelineStageCrashBitIdenticalAtEveryStep) {
   opts.max_k = 4;
   opts.seed = 47;
 
-  auto baseline = DiscoverMultipleClusterings(data, opts);
-  ASSERT_TRUE(baseline.ok());
-
-  auto run = [&](Checkpointer* ck) {
+  auto run = [&](Checkpointer* ck, const CancelToken* cancel,
+                 RunDiagnostics* diag) {
     DiscoveryOptions o = opts;
     o.budget.checkpoint = ck;
-    return DiscoverMultipleClusterings(data, o);
+    o.budget.cancel = cancel;
+    auto report = DiscoverMultipleClusterings(data, o);
+    // The pipeline has no diagnostics sink of its own: the trace leg
+    // checks the solving attempt's trace, restored through the ledger.
+    if (report.ok()) *diag = report->attempts.back();
+    return report;
   };
+  RunDiagnostics want;
+  auto baseline = run(nullptr, nullptr, &want);
+  ASSERT_TRUE(baseline.ok());
   auto compare = [&](const DiscoveryReport& r) {
     ExpectReportsEqual(r, *baseline);
   };
-  const int exercised = CrashAtEveryStep("pipeline", run, compare);
+  const int exercised = CrashAtEveryStep("pipeline", run, compare, want.trace);
   EXPECT_GT(exercised, 0);
 }
 
