@@ -6,107 +6,31 @@
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/time.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "common/fault.h"
 #include "common/profile.h"
+#include "common/report.h"
+#include "common/span_slot.h"
 
 namespace multiclust {
 namespace blackbox {
 
 namespace {
 
-// --- Ring storage -----------------------------------------------------------
-//
-// Every field of a record is an individually-relaxed atomic: a reader
-// racing the writer at the ring boundary may observe a MIXED record (the
-// fields of two different events) but never a torn one — in particular
-// the name pointer is always one that was actually stored, so the crash
-// handler can dereference it safely. Consumers therefore must not assume
-// records are internally consistent at the one boundary slot, and the
-// crash-report validator does not require strict timestamp monotonicity.
-
-static_assert((kRingCapacity & (kRingCapacity - 1)) == 0,
-              "ring capacity must be a power of two");
-
-struct Rec {
-  std::atomic<uint64_t> ts_us{0};
-  std::atomic<const char*> name{nullptr};
-  std::atomic<uint64_t> a{0};
-  std::atomic<uint64_t> b{0};
-  std::atomic<uint32_t> type{0};  // 0 = never written
-};
-
-struct alignas(64) ThreadRing {
-  std::atomic<uint64_t> head{0};  // monotonic records-written count
-  uint32_t tid = 0;
-  std::atomic<uint32_t> span_depth{0};
-  std::atomic<const char*> span_stack[kMaxSpanDepth] = {};
-  Rec recs[kRingCapacity];
-};
-
-constexpr size_t kMaxThreads = 256;
+using trace::internal::ForEachSlot;
+using trace::internal::LocalSlot;
+using trace::internal::Rec;
+using trace::internal::Slot;
 
 std::atomic<bool> g_enabled{true};
-std::atomic<ThreadRing*> g_rings[kMaxThreads];
-std::atomic<uint32_t> g_ring_count{0};
 
-// Process epoch for record timestamps, pinned by the first record (or by
-// InstallCrashHandler, whichever runs first) via CAS.
-std::atomic<uint64_t> g_epoch_us{0};
-
-uint64_t NowRawUs() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<uint64_t>(ts.tv_sec) * 1000000ull +
-         static_cast<uint64_t>(ts.tv_nsec) / 1000ull;
-}
-
-uint64_t NowUs() {
-  uint64_t epoch = g_epoch_us.load(std::memory_order_relaxed);
-  if (epoch == 0) {
-    uint64_t now = NowRawUs();
-    g_epoch_us.compare_exchange_strong(epoch, now,
-                                       std::memory_order_relaxed);
-    epoch = g_epoch_us.load(std::memory_order_relaxed);
-  }
-  const uint64_t raw = NowRawUs();
-  return raw >= epoch ? raw - epoch : 0;
-}
-
-// Rings are registered once per thread and intentionally leaked: the
-// crash handler (and a post-run FlightRecordJson) may read a ring after
-// its thread exited. Threads past kMaxThreads record nothing.
-ThreadRing* LocalRing() {
-  thread_local ThreadRing* ring = [] {
-    const uint32_t slot =
-        g_ring_count.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= kMaxThreads) return static_cast<ThreadRing*>(nullptr);
-    ThreadRing* r = new ThreadRing();
-    r->tid = slot;
-    g_rings[slot].store(r, std::memory_order_release);
-    return r;
-  }();
-  return ring;
-}
-
-inline void RecordTo(ThreadRing* ring, EventType type, const char* name,
-                     uint64_t a, uint64_t b) {
-  const uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  Rec& r = ring->recs[seq & (kRingCapacity - 1)];
-  r.ts_us.store(NowUs(), std::memory_order_relaxed);
-  r.name.store(name, std::memory_order_relaxed);
-  r.a.store(a, std::memory_order_relaxed);
-  r.b.store(b, std::memory_order_relaxed);
-  r.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
-  ring->head.store(seq + 1, std::memory_order_release);
-}
+// Record timestamps share the tracer's clock epoch.
+uint64_t NowUs() { return trace::internal::NowNs() / 1000; }
 
 // --- Checkpoint / crash-handler global state --------------------------------
 
@@ -251,22 +175,25 @@ class Sink {
 
 // --- Report body (shared by the crash handler and FlightRecordJson) ---------
 
-void WriteThread(Sink* s, const ThreadRing* ring) {
+// Every record field is an individually relaxed atomic (see Rec in
+// common/span_slot.h), so the one record at the ring boundary may mix two
+// events; the crash-report validator does not require strict timestamp
+// monotonicity.
+void WriteThread(Sink* s, const Slot& slot) {
   s->Raw("{\"tid\":");
-  s->Uint(ring->tid);
+  s->Uint(slot.id);
   s->Raw(",\"open_spans\":[");
-  uint32_t depth = ring->span_depth.load(std::memory_order_acquire);
-  if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
+  const uint32_t depth = slot.VisibleDepth();
   for (uint32_t i = 0; i < depth; ++i) {
     if (i > 0) s->Char(',');
-    s->Quoted(ring->span_stack[i].load(std::memory_order_relaxed));
+    s->Quoted(slot.stack[i].load(std::memory_order_relaxed));
   }
   s->Raw("],\"events\":[");
-  const uint64_t head = ring->head.load(std::memory_order_acquire);
+  const uint64_t head = slot.head.load(std::memory_order_acquire);
   const uint64_t count = head < kRingCapacity ? head : kRingCapacity;
   bool first = true;
   for (uint64_t seq = head - count; seq != head; ++seq) {
-    const Rec& r = ring->recs[seq & (kRingCapacity - 1)];
+    const Rec& r = slot.ring[seq & (kRingCapacity - 1)];
     uint32_t type = r.type.load(std::memory_order_relaxed);
     if (type == 0) continue;  // slot never written (head raced Reset)
     if (type > static_cast<uint32_t>(EventType::kMark)) type = 0;
@@ -371,15 +298,12 @@ void WriteReportBody(Sink* s, int sig, const void* fault_addr) {
   s->Raw("\"}");
 
   s->Raw(",\"threads\":[");
-  const uint32_t count = g_ring_count.load(std::memory_order_acquire);
   bool first = true;
-  for (uint32_t i = 0; i < count && i < kMaxThreads; ++i) {
-    const ThreadRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
+  ForEachSlot([&](const Slot& slot) {
     if (!first) s->Char(',');
     first = false;
-    WriteThread(s, ring);
-  }
+    WriteThread(s, slot);
+  });
   s->Raw("]}\n");
   s->Flush();
 }
@@ -461,36 +385,8 @@ bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void Record(EventType type, const char* name, uint64_t a, uint64_t b) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
-  ThreadRing* ring = LocalRing();
-  if (ring == nullptr) return;
-  RecordTo(ring, type, name, a, b);
-}
-
-void OnSpanEnter(const char* name) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
-  ThreadRing* ring = LocalRing();
-  if (ring == nullptr) return;
-  const uint32_t depth = ring->span_depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) {
-    ring->span_stack[depth].store(name, std::memory_order_relaxed);
-  }
-  ring->span_depth.store(depth + 1, std::memory_order_release);
-  RecordTo(ring, EventType::kSpanEnter, name, depth, 0);
-}
-
-void OnSpanExit(const char* name) {
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
-  ThreadRing* ring = LocalRing();
-  if (ring == nullptr) return;
-  const uint32_t depth = ring->span_depth.load(std::memory_order_relaxed);
-  if (depth > 0) {
-    if (depth <= kMaxSpanDepth) {
-      ring->span_stack[depth - 1].store(nullptr,
-                                        std::memory_order_relaxed);
-    }
-    ring->span_depth.store(depth - 1, std::memory_order_release);
-  }
-  RecordTo(ring, EventType::kSpanExit, name, depth > 0 ? depth - 1 : 0, 0);
+  Slot* slot = LocalSlot();
+  if (slot != nullptr) slot->Append(type, name, a, b);
 }
 
 void Mark(const char* name, uint64_t a) {
@@ -530,15 +426,12 @@ void RecordCheckpoint(EventType type, const char* algorithm,
 }
 
 void Reset() {
-  const uint32_t count = g_ring_count.load(std::memory_order_acquire);
-  for (uint32_t i = 0; i < count && i < kMaxThreads; ++i) {
-    ThreadRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    for (size_t j = 0; j < kRingCapacity; ++j) {
-      ring->recs[j].type.store(0, std::memory_order_relaxed);
+  ForEachSlot([](Slot& slot) {
+    for (Rec& r : slot.ring) {
+      r.type.store(0, std::memory_order_relaxed);
     }
-    ring->head.store(0, std::memory_order_release);
-  }
+    slot.head.store(0, std::memory_order_release);
+  });
   g_ckpt_snapshots.store(0, std::memory_order_relaxed);
   g_ckpt_restores.store(0, std::memory_order_relaxed);
   g_ckpt_last_seq.store(0, std::memory_order_relaxed);
@@ -547,13 +440,9 @@ void Reset() {
 
 uint64_t TotalRecords() {
   uint64_t total = 0;
-  const uint32_t count = g_ring_count.load(std::memory_order_acquire);
-  for (uint32_t i = 0; i < count && i < kMaxThreads; ++i) {
-    const ThreadRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      total += ring->head.load(std::memory_order_relaxed);
-    }
-  }
+  ForEachSlot([&](const Slot& slot) {
+    total += slot.head.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
@@ -572,7 +461,7 @@ Status InstallCrashHandler(const std::string& report_path) {
   }
   std::memcpy(g_report_path, report_path.c_str(), report_path.size() + 1);
   NowUs();      // pin the timestamp epoch outside signal context
-  LocalRing();  // register the installing thread's ring eagerly
+  LocalSlot();  // register the installing thread's slot eagerly
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
   action.sa_sigaction = &CrashHandler;
@@ -628,17 +517,7 @@ std::string FlightRecordJson(int signal) {
 }
 
 Status WriteFlightRecord(const std::string& path) {
-  std::ofstream file(path, std::ios::out | std::ios::trunc);
-  if (!file.is_open()) {
-    return Status::IoError("blackbox: cannot open '" + path +
-                           "' for writing");
-  }
-  file << FlightRecordJson();
-  file.flush();
-  if (!file.good()) {
-    return Status::IoError("blackbox: failed writing '" + path + "'");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, FlightRecordJson());
 }
 
 }  // namespace blackbox

@@ -19,9 +19,13 @@ namespace multiclust {
 ///
 /// Unlike the span tracer (common/trace.h), which is off until
 /// trace::Enable() and buffers unbounded event lists for export, the
-/// flight recorder is ON by default and bounded: each thread owns a
-/// fixed ring of `kRingCapacity` records that silently overwrites its
-/// oldest entries. Recording takes no locks and performs no allocation
+/// flight recorder is ON by default and bounded: each thread's ring of
+/// `kRingCapacity` records silently overwrites its oldest entries. The
+/// ring lives in the thread's span slot (common/span_slot.h) next to the
+/// one open-span stack and the tracer's events; up to 256 threads alive
+/// at once hold a slot, and an exited thread's slot (ring included) is
+/// kept readable and handed to the next new thread. Recording takes no
+/// locks and performs no allocation
 /// (one TLS lookup, one clock read, a handful of relaxed atomic stores —
 /// well under the 100 ns/record budget), so it is safe to leave armed in
 /// production and safe to call from code holding unrelated locks (the
@@ -44,10 +48,6 @@ inline constexpr char kCrashReportKind[] = "multiclust.crash_report";
 
 /// Records each thread ring holds; the oldest are overwritten in place.
 inline constexpr size_t kRingCapacity = 256;
-
-/// Maximum depth of the per-thread open-span stack mirrored by the
-/// recorder (deeper nesting keeps the outermost frames).
-inline constexpr size_t kMaxSpanDepth = 64;
 
 /// What one ring record describes. Values are stable (they appear as
 /// both integers and names in crash reports); append only.
@@ -107,13 +107,6 @@ bool Enabled();
 /// static storage duration. Lock-free, allocation-free.
 void Record(EventType type, const char* name, uint64_t a = 0, uint64_t b = 0);
 
-/// Span hooks (called by trace::Span even while the tracer is disabled):
-/// record the enter/exit AND maintain the recorder's own open-span stack,
-/// which the crash handler reads without touching the tracer's mutexed
-/// registry.
-void OnSpanEnter(const char* name);
-void OnSpanExit(const char* name);
-
 /// Convenience for kMark records.
 void Mark(const char* name, uint64_t a = 0);
 
@@ -127,9 +120,9 @@ void RecordFault(const char* site, int kind, uint64_t iteration);
 void RecordCheckpoint(EventType type, const char* algorithm,
                       uint64_t sequence);
 
-/// Clears every thread's ring, the open-span mirrors and the checkpoint
-/// summary (rings stay registered). For run isolation in chaos cycles
-/// and tests.
+/// Clears every thread's ring and the checkpoint summary (slots stay
+/// registered, open-span stacks are untouched). For run isolation in
+/// chaos cycles and tests.
 void Reset();
 
 /// Total records written since process start (including overwritten
@@ -177,8 +170,6 @@ inline constexpr bool kCompiledIn = false;
 inline void SetEnabled(bool) {}
 inline constexpr bool Enabled() { return false; }
 inline void Record(EventType, const char*, uint64_t = 0, uint64_t = 0) {}
-inline void OnSpanEnter(const char*) {}
-inline void OnSpanExit(const char*) {}
 inline void Mark(const char*, uint64_t = 0) {}
 inline void RecordFault(const char*, int, uint64_t) {}
 inline void RecordCheckpoint(EventType, const char*, uint64_t) {}

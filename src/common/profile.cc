@@ -12,6 +12,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/span_slot.h"
+#include "common/strings.h"
 #include "common/trace.h"
 
 namespace multiclust {
@@ -25,14 +27,6 @@ std::atomic<uint64_t> g_kernel_bytes{0};
 }  // namespace internal
 
 namespace {
-
-double NowWallUs() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
 
 double TimevalUs(const struct timeval& tv) {
   return static_cast<double>(tv.tv_sec) * 1e6 +
@@ -66,7 +60,7 @@ std::string ResourceProfile::ToString() const {
 }
 
 ResourceScope::ResourceScope() {
-  start_wall_us_ = NowWallUs();
+  start_wall_ns_ = trace::internal::NowNs();
   struct rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     start_user_us_ = TimevalUs(usage.ru_utime);
@@ -86,7 +80,8 @@ ResourceScope::ResourceScope() {
 ResourceProfile ResourceScope::Snapshot() const {
   ResourceProfile profile;
   profile.captured = true;
-  profile.wall_ms = (NowWallUs() - start_wall_us_) / 1000.0;
+  profile.wall_ms =
+      static_cast<double>(trace::internal::NowNs() - start_wall_ns_) / 1e6;
   struct rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     profile.user_cpu_ms =
@@ -163,22 +158,6 @@ void SamplerLoop(double interval_ms) {
   }
 }
 
-// Splits a collapsed-stack key back into frame names.
-std::vector<std::string> SplitFrames(const std::string& key) {
-  std::vector<std::string> frames;
-  size_t start = 0;
-  while (start <= key.size()) {
-    const size_t semi = key.find(';', start);
-    if (semi == std::string::npos) {
-      frames.push_back(key.substr(start));
-      break;
-    }
-    frames.push_back(key.substr(start, semi - start));
-    start = semi + 1;
-  }
-  return frames;
-}
-
 }  // namespace
 
 Status StartSampler(const SamplerOptions& options) {
@@ -241,7 +220,7 @@ std::vector<SampleStats> SamplerTable() {
     SamplerState& state = GetSampler();
     std::lock_guard<std::mutex> lock(state.data_mu);
     for (const auto& [key, count] : state.stacks) {
-      const std::vector<std::string> frames = SplitFrames(key);
+      const std::vector<std::string> frames = SplitString(key, ';');
       by_name[frames.back()].self += count;
       // `total` counts each sample once per span present, even if the span
       // recurses within the stack.

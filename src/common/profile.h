@@ -80,7 +80,7 @@ class ResourceScope {
   ResourceProfile Snapshot() const;
 
  private:
-  double start_wall_us_ = 0.0;
+  uint64_t start_wall_ns_ = 0;
   double start_user_us_ = 0.0;
   double start_sys_us_ = 0.0;
   uint64_t start_minflt_ = 0;
@@ -94,14 +94,13 @@ class ResourceScope {
 // --- Timer-based sampling profiler -----------------------------------------
 //
 // A background thread wakes every `interval_ms` and records, for every
-// thread that has ever opened a trace span, the stack of spans currently
-// open on it (trace::SnapshotOpenSpans). No libunwind, no signals: the
-// "stack" is the tracer's own span nesting, so samples attribute to the
-// innermost open span and aggregate into collapsed-stack lines that
-// flamegraph.pl / speedscope consume directly.
-//
-// The tracer must be enabled (trace::Enable) while sampling — span stacks
-// are only maintained on the enabled path.
+// live thread that has opened a trace span, the stack of spans currently
+// open on it (trace::SnapshotOpenSpans). Threads that have exited are
+// skipped. No libunwind, no signals: the "stack" is the one open-span
+// stack every compiled-in span maintains in its thread's slot, so samples
+// attribute to the innermost open span and aggregate into collapsed-stack
+// lines that flamegraph.pl / speedscope consume directly. The tracer need
+// not be enabled.
 
 struct SamplerOptions {
   double interval_ms = 2.0;  ///< sampling period of the background thread

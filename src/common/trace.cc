@@ -2,112 +2,111 @@
 
 #if defined(MULTICLUST_TRACING)
 
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 
-#include "common/blackbox.h"
+#include "common/json.h"
+#include "common/report.h"
+#include "common/span_slot.h"
 
 namespace multiclust {
 namespace trace {
 
+namespace internal {
+
+std::atomic<Slot*> g_slots[kMaxThreads];
+std::atomic<uint32_t> g_slot_count{0};
+
 namespace {
 
-// One completed span. `name` points at a string literal (see trace.h), so
-// an event is 32 bytes and appending one never allocates beyond the
-// buffer's own growth.
-struct Event {
-  const char* name;
-  double ts_us;   // start, relative to the process trace epoch
-  double dur_us;  // duration
-  uint32_t tid;   // small stable per-thread id (1-based, creation order)
-};
+std::atomic<uint64_t> g_epoch_ns{0};
+std::mutex g_claim_mu;  // serializes claims; readers never take it
 
-// Maximum tracked span nesting per thread. Deeper nests still record
-// events and keep a correct depth count; only the sampler-visible stack
-// is truncated to the outermost kMaxSpanDepth frames.
-constexpr uint32_t kMaxSpanDepth = 64;
-
-// Per-thread event buffer. The owning thread appends; the exporter reads.
-// Both take `mu`, but the owner's lock is uncontended except during an
-// export, so the append fast path stays a futex-free lock/unlock pair.
-//
-// `stack`/`depth` are the thread's currently-open span names, maintained
-// lock-free by the owner (push in Span ctor, pop in dtor) and read by the
-// sampling profiler thread: the owner stores the name slot first, then
-// release-stores the new depth, so a reader that acquire-loads `depth`
-// sees every slot below it. A sample racing a pop may attribute to the
-// just-closed span — acceptable for a statistical profiler, and free of
-// data races because the slots are atomics.
-struct ThreadBuffer {
-  std::mutex mu;
-  uint32_t tid = 0;
-  std::vector<Event> events;
-  std::atomic<const char*> stack[kMaxSpanDepth] = {};
-  std::atomic<uint32_t> depth{0};
-};
-
-struct Registry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  uint32_t next_tid = 1;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();
-  return *registry;
+// Reuses the lowest released slot, else allocates the next one. A slot is
+// never freed: the crash handler and the exporters read slots of threads
+// that have exited.
+Slot* Claim() {
+  std::lock_guard<std::mutex> lock(g_claim_mu);
+  const uint32_t count = g_slot_count.load(std::memory_order_relaxed);
+  for (uint32_t i = 0; i < count; ++i) {
+    Slot* slot = g_slots[i].load(std::memory_order_relaxed);
+    if (!slot->live.load(std::memory_order_acquire)) {
+      slot->live.store(true, std::memory_order_relaxed);
+      return slot;
+    }
+  }
+  if (count == kMaxThreads) return nullptr;
+  Slot* slot = new Slot();
+  slot->id = count;
+  slot->live.store(true, std::memory_order_relaxed);
+  g_slots[count].store(slot, std::memory_order_release);
+  g_slot_count.store(count + 1, std::memory_order_release);
+  return slot;
 }
+
+// Holds the thread's slot for the thread's lifetime.
+struct Lease {
+  Lease() = default;
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() {
+    if (slot != nullptr) slot->live.store(false, std::memory_order_release);
+  }
+  Slot* slot = Claim();
+};
+
+}  // namespace
+
+uint64_t NowNs() {
+  timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  const uint64_t now = static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+                       static_cast<uint64_t>(ts.tv_nsec);
+  uint64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
+  if (epoch == 0 &&
+      g_epoch_ns.compare_exchange_strong(epoch, now,
+                                         std::memory_order_relaxed)) {
+    epoch = now;
+  }
+  return now >= epoch ? now - epoch : 0;
+}
+
+Slot* LocalSlot() {
+  thread_local Lease lease;
+  return lease.slot;
+}
+
+}  // namespace internal
+
+namespace {
+
+using internal::Event;
+using internal::ForEachSlot;
+using internal::Slot;
 
 std::atomic<bool> g_enabled{false};
 
 // Per-thread buffer capacity (completed spans). 0 = unlimited.
 std::atomic<size_t> g_max_events_per_thread{size_t{1} << 20};
 
-// Spans dropped at full buffers, across all threads since the last Reset().
+// Spans dropped at full buffers or on slotless threads, across all threads
+// since the last Reset().
 std::atomic<size_t> g_dropped_events{0};
-
-// Microseconds since the process-wide trace epoch (first call).
-double NowUs() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
-ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto b = std::make_shared<ThreadBuffer>();
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    b->tid = registry.next_tid++;
-    registry.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
-}
 
 // Snapshot of every buffered event, sorted by (tid, start) so exports are
 // stable for a fixed set of recorded spans.
 std::vector<Event> SnapshotEvents() {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
   std::vector<Event> events;
-  for (const auto& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    events.insert(events.end(), buffer->events.begin(),
-                  buffer->events.end());
-  }
+  ForEachSlot([&](Slot& slot) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    events.insert(events.end(), slot.events.begin(), slot.events.end());
+  });
   std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.tid != b.tid) return a.tid < b.tid;
     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
@@ -116,44 +115,19 @@ std::vector<Event> SnapshotEvents() {
   return events;
 }
 
-void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
-void Enable() {
-  NowUs();  // pin the epoch no later than the first enable
-  g_enabled.store(true, std::memory_order_release);
-}
+void Enable() { g_enabled.store(true, std::memory_order_release); }
 
 void Disable() { g_enabled.store(false, std::memory_order_release); }
 
 bool Enabled() { return g_enabled.load(std::memory_order_acquire); }
 
 void Reset() {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
-  for (const auto& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    buffer->events.clear();  // keeps capacity: reset-per-run stays cheap
-  }
+  ForEachSlot([](Slot& slot) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.events.clear();  // keeps capacity: reset-per-run stays cheap
+  });
   g_dropped_events.store(0, std::memory_order_relaxed);
 }
 
@@ -166,41 +140,28 @@ void SetMaxEventsPerThread(size_t max_events) {
 }
 
 std::vector<std::vector<const char*>> SnapshotOpenSpans() {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
   std::vector<std::vector<const char*>> stacks;
-  stacks.reserve(buffers.size());
-  for (const auto& buffer : buffers) {
-    const uint32_t depth =
-        std::min(buffer->depth.load(std::memory_order_acquire), kMaxSpanDepth);
+  ForEachSlot([&](const Slot& slot) {
+    if (!slot.live.load(std::memory_order_acquire)) return;
+    const uint32_t depth = slot.VisibleDepth();
     std::vector<const char*> stack;
     stack.reserve(depth);
     for (uint32_t i = 0; i < depth; ++i) {
-      const char* name = buffer->stack[i].load(std::memory_order_relaxed);
+      const char* name = slot.stack[i].load(std::memory_order_relaxed);
       if (name == nullptr) break;  // racing a pop: keep the settled prefix
       stack.push_back(name);
     }
     stacks.push_back(std::move(stack));
-  }
+  });
   return stacks;
 }
 
 size_t EventCount() {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
   size_t count = 0;
-  for (const auto& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    count += buffer->events.size();
-  }
+  ForEachSlot([&](Slot& slot) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    count += slot.events.size();
+  });
   return count;
 }
 
@@ -263,7 +224,7 @@ std::string ChromeTraceJson() {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":\"";
-    AppendJsonEscaped(e.name, &out);
+    out += json::Escape(e.name);
     out += "\",\"cat\":\"multiclust\",\"ph\":\"X\",\"pid\":1,";
     std::snprintf(buf, sizeof(buf), "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f}",
                   e.tid, e.ts_us, e.dur_us);
@@ -274,53 +235,46 @@ std::string ChromeTraceJson() {
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  std::ofstream file(path, std::ios::out | std::ios::trunc);
-  if (!file.is_open()) {
-    return Status::IoError("trace: cannot open '" + path + "' for writing");
-  }
-  file << ChromeTraceJson();
-  file.flush();
-  if (!file.good()) {
-    return Status::IoError("trace: failed writing '" + path + "'");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, ChromeTraceJson());
 }
 
-Span::Span(const char* name) : name_(name) {
+Span::Span(const char* name) : name_(name), slot_(internal::LocalSlot()) {
   // The flight recorder sees every span even while the tracer is off —
   // it is the always-on black box, the tracer is the opt-in profiler.
-  blackbox::OnSpanEnter(name);
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
-  active_ = true;
-  start_us_ = NowUs();
-  ThreadBuffer& buffer = LocalBuffer();
-  const uint32_t depth = buffer.depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) {
-    buffer.stack[depth].store(name_, std::memory_order_relaxed);
+  const bool recording = blackbox::Enabled();
+  const bool timing = g_enabled.load(std::memory_order_relaxed);
+  if (slot_ == nullptr) {
+    if (recording || timing) {
+      g_dropped_events.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
   }
-  buffer.depth.store(depth + 1, std::memory_order_release);
+  const uint32_t depth = slot_->Push(name);
+  if (recording) {
+    slot_->Append(blackbox::EventType::kSpanEnter, name, depth, 0);
+  }
+  if (!timing) return;
+  timed_ = true;
+  start_ns_ = internal::NowNs();
 }
 
 Span::~Span() {
-  blackbox::OnSpanExit(name_);
-  if (!active_) return;
-  const double end_us = NowUs();
-  ThreadBuffer& buffer = LocalBuffer();
-  const uint32_t depth = buffer.depth.load(std::memory_order_relaxed);
-  if (depth > 0) {
-    if (depth <= kMaxSpanDepth) {
-      buffer.stack[depth - 1].store(nullptr, std::memory_order_relaxed);
-    }
-    buffer.depth.store(depth - 1, std::memory_order_release);
+  if (slot_ == nullptr) return;
+  const uint64_t end_ns = timed_ ? internal::NowNs() : 0;
+  const uint32_t depth = slot_->Pop();
+  if (blackbox::Enabled()) {
+    slot_->Append(blackbox::EventType::kSpanExit, name_, depth, 0);
   }
+  if (!timed_) return;
   const size_t cap = g_max_events_per_thread.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(buffer.mu);
-  if (cap != 0 && buffer.events.size() >= cap) {
+  std::lock_guard<std::mutex> lock(slot_->mu);
+  if (cap != 0 && slot_->events.size() >= cap) {
     g_dropped_events.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buffer.events.push_back(
-      {name_, start_us_, end_us - start_us_, buffer.tid});
+  slot_->events.push_back({name_, static_cast<double>(start_ns_) / 1000.0,
+                           static_cast<double>(end_ns - start_ns_) / 1000.0,
+                           slot_->id});
 }
 
 }  // namespace trace

@@ -2,6 +2,7 @@
 #define MULTICLUST_COMMON_TRACE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,10 +24,12 @@ namespace multiclust {
 /// have static storage duration): the tracer stores the pointer, not a
 /// copy, so span construction never allocates.
 ///
-/// Collection is off until `trace::Enable()`; a compiled-in but disabled
-/// span costs one relaxed atomic load. Completed spans are appended to
-/// per-thread buffers (safe under the `ParallelFor` pool), exported either
-/// as a `chrome://tracing` / Perfetto-loadable JSON document or as a
+/// Every compiled-in span pushes and pops its thread's one open-span stack
+/// (read by the sampler in common/profile.h and by crash reports) and, while
+/// the flight recorder is armed, records its enter and exit there. Timing
+/// is off until `trace::Enable()`. Completed timed spans are appended to
+/// the same per-thread slot (safe under the `ParallelFor` pool), exported
+/// either as a `chrome://tracing` / Perfetto-loadable JSON document or as a
 /// per-span count/total/mean/max summary table.
 ///
 /// The whole subsystem is compiled out under `-DMULTICLUST_TRACING=OFF`:
@@ -66,22 +69,26 @@ void Reset();
 size_t EventCount();
 
 /// Completed spans dropped because a per-thread buffer hit its capacity
-/// (SetMaxEventsPerThread). Dropped events are counted, never silently
+/// (SetMaxEventsPerThread), plus spans opened while the tracer or the
+/// flight recorder was on by a thread that found all of the 256 per-thread
+/// slots held by live threads. Dropped events are counted, never silently
 /// lost: the total is surfaced here, in SummaryString() and in the
 /// Chrome JSON "metadata" object ("trace.dropped_events"). Reset() zeroes
 /// it along with the buffers.
 size_t DroppedEvents();
 
 /// Caps each per-thread event buffer at `max_events` completed spans
-/// (default 1 << 20, ~32 MB/thread). 0 means unlimited. Spans recorded
+/// (default 1 << 20, ~32 MB/thread; a thread that reuses an exited
+/// thread's slot shares its buffer). 0 means unlimited. Spans recorded
 /// past the cap are dropped and counted in DroppedEvents().
 void SetMaxEventsPerThread(size_t max_events);
 
-/// The stack of currently-open span names of every registered thread
-/// (threads appear once they have opened a span; order is thread
-/// registration order). Entry i is innermost-last. Used by the sampling
-/// profiler (common/profile.h) to attribute timer samples; nesting deeper
-/// than an internal fixed depth is truncated to the outermost frames.
+/// The stack of currently-open span names of every live thread that has
+/// opened a span (exited threads are skipped; order is slot id). Entry i is
+/// innermost-last. Maintained whether or not the tracer is enabled. Used by
+/// the sampling profiler (common/profile.h) to attribute timer samples;
+/// nesting deeper than an internal fixed depth is truncated to the
+/// outermost frames.
 std::vector<std::vector<const char*>> SnapshotOpenSpans();
 
 /// Per-span aggregates, sorted by span name (deterministic order).
@@ -98,6 +105,10 @@ std::string ChromeTraceJson();
 /// Writes ChromeTraceJson() to `path`.
 Status WriteChromeTrace(const std::string& path);
 
+namespace internal {
+struct Slot;  // common/span_slot.h
+}  // namespace internal
+
 /// RAII scope timer. Use MULTICLUST_TRACE_SPAN instead of naming this
 /// directly so the span compiles out under -DMULTICLUST_TRACING=OFF.
 /// `name` must have static storage duration (string literal).
@@ -110,8 +121,9 @@ class Span {
 
  private:
   const char* name_;
-  double start_us_ = 0.0;
-  bool active_ = false;
+  internal::Slot* slot_;  // nullptr: every slot was held, span dropped
+  uint64_t start_ns_ = 0;
+  bool timed_ = false;
 };
 
 #else  // !MULTICLUST_TRACING — zero-cost stubs, no symbols in the library.

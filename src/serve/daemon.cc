@@ -309,9 +309,7 @@ void Daemon::Shutdown() {
   if (watchdog_.joinable()) watchdog_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& c : connections_) {
-      if (c.joinable()) c.join();
-    }
+    for (Connection& c : connections_) c.thread.join();
     connections_.clear();
   }
   telemetry::SetProgressSink(nullptr);
@@ -341,7 +339,16 @@ void Daemon::AcceptLoop() {
       const int cfd = ::accept(listen_fd_, nullptr, nullptr);
       if (cfd < 0) continue;
       std::lock_guard<std::mutex> lock(conn_mu_);
-      connections_.emplace_back(&Daemon::HandleConnection, this, cfd);
+      connections_.remove_if([](Connection& c) {
+        if (!c.done.load(std::memory_order_acquire)) return false;
+        c.thread.join();
+        return true;
+      });
+      Connection& c = connections_.emplace_back();
+      c.thread = std::thread([this, cfd, &c] {
+        HandleConnection(cfd);
+        c.done.store(true, std::memory_order_release);
+      });
     }
   }
   draining_.store(true, std::memory_order_relaxed);

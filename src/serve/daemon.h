@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -148,8 +149,15 @@ class Daemon {
   std::vector<std::thread> workers_;
   std::thread acceptor_;
   std::thread watchdog_;
+  /// One client connection's handler thread. `done` is set as the handler
+  /// returns, so the acceptor joins finished threads on its next accept
+  /// instead of holding every closed connection's stack until Shutdown().
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  ///< stable addresses for `done`
   std::mutex lifecycle_mu_;
   std::condition_variable lifecycle_cv_;
 };

@@ -9,12 +9,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "common/checkpoint.h"
 #include "common/fault.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/runledger.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -79,8 +82,9 @@ TEST(BlackboxTest, RecordsAndCountsEvents) {
   const uint64_t before = blackbox::TotalRecords();
   blackbox::Record(blackbox::EventType::kIteration, "blackbox_test", 1);
   blackbox::Mark("blackbox_test.mark", 42);
-  blackbox::OnSpanEnter("blackbox_test.span");
-  blackbox::OnSpanExit("blackbox_test.span");
+  {
+    MULTICLUST_TRACE_SPAN("blackbox_test.span");
+  }
   EXPECT_EQ(blackbox::TotalRecords(), before + 4);
 }
 
@@ -126,6 +130,54 @@ TEST(BlackboxTest, SpanHooksFireEvenWithTracerDisabled) {
   // One enter + one exit despite the tracer being off: the recorder is
   // the always-on black box, the tracer the opt-in profiler.
   EXPECT_EQ(blackbox::TotalRecords(), before + 2);
+}
+
+TEST(BlackboxTest, FreshWorkersRecordAfterManyPoolRespawns) {
+  if (!blackbox::kCompiledIn) GTEST_SKIP() << "blackbox compiled out";
+  auto ChunkSpans = [] {
+    ParallelFor(0, 16, 1, [](size_t, size_t) {
+      MULTICLUST_TRACE_SPAN("blackbox_test.chunk");
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  };
+  // Each SetThreadCount respawns the pool: 100 rounds of 3 workers outlive
+  // more threads than the recorder has slots.
+  for (int round = 0; round < 100; ++round) {
+    SetThreadCount(4);
+    ChunkSpans();
+  }
+  SetThreadCount(4);
+  blackbox::Reset();
+  blackbox::Mark("blackbox_test.main");
+  const uint64_t before = blackbox::TotalRecords();
+  ChunkSpans();
+  // One enter and one exit per chunk span, wherever it ran.
+  EXPECT_EQ(blackbox::TotalRecords(), before + 2 * 16);
+  SetThreadCount(0);
+
+  // Every chunk span is in the flight record, and some ran on a worker.
+  const json::Value doc =
+      test::ParseJsonOrFail(blackbox::FlightRecordJson());
+  size_t spans = 0;
+  size_t main_spans = 0;
+  for (const json::Value& thread :
+       test::FieldOrFail(doc, "threads").array_items()) {
+    size_t chunk_spans = 0;
+    bool is_main = false;
+    for (const json::Value& event :
+         test::FieldOrFail(thread, "events").array_items()) {
+      const std::string name = event.GetString("name", "");
+      is_main = is_main || name == "blackbox_test.main";
+      if (event.GetString("type", "") == "span_enter" &&
+          name == "blackbox_test.chunk") {
+        ++chunk_spans;
+      }
+    }
+    spans += chunk_spans;
+    if (is_main) main_spans = chunk_spans;
+  }
+  EXPECT_EQ(spans, 16u);
+  EXPECT_LT(main_spans, spans) << "no chunk span recorded on a pool worker";
 }
 
 // --- Live flight-record snapshots ------------------------------------------

@@ -6,11 +6,13 @@
 
 #include <ftw.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -840,6 +842,42 @@ TEST(DaemonTest, SubmitWhileDrainingIsRejectedWithStableKey) {
   // The daemon is gone; a fresh connection must fail (socket unlinked).
   serve::Client late(fixture.options.socket_path);
   EXPECT_FALSE(late.Connect().ok());
+}
+
+// This process's virtual size in bytes (VmSize in /proc/self/status).
+uint64_t VmSizeBytes() {
+  const std::string status = ReadFileOrEmpty("/proc/self/status");
+  const size_t at = status.find("VmSize:");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(status.c_str() + at + 7, nullptr, 10) * 1024;
+}
+
+TEST(DaemonTest, ClosedConnectionsReleaseTheirThreads) {
+  DaemonFixture fixture(/*workers=*/0);
+  serve::Daemon daemon(fixture.options);
+  ASSERT_TRUE(daemon.Start().ok());
+  struct rlimit stack {};
+  ASSERT_EQ(::getrlimit(RLIMIT_STACK, &stack), 0);
+  const uint64_t stack_bytes =
+      stack.rlim_cur == RLIM_INFINITY ? uint64_t{8} << 20 : stack.rlim_cur;
+  serve::Request ping;
+  ping.op = "ping";
+  uint64_t before = 0;
+  for (int i = 0; i <= 200; ++i) {
+    serve::Client client(fixture.options.socket_path);
+    ASSERT_TRUE(client.Connect().ok());
+    ASSERT_TRUE(client.Call(ping).ok());
+    // The first handler thread's malloc arena reserves ~128 MB of address
+    // space once; measure from after it, over 200 further connections.
+    if (i == 0) before = VmSizeBytes();
+  }
+  ASSERT_GT(before, 0u);
+  // Each unjoined handler thread keeps a whole stack mapped; a daemon that
+  // held every closed connection's thread would grow by ~200 stacks.
+  const uint64_t after = VmSizeBytes();
+  daemon.Shutdown();
+  EXPECT_LT(after > before ? after - before : 0, 10 * stack_bytes)
+      << "VmSize " << before << " -> " << after << " bytes";
 }
 
 // ---- the headline invariant: SIGKILL loses nothing -----------------------

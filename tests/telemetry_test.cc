@@ -10,10 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/kmeans.h"
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/profile.h"
 #include "common/report.h"
 #include "common/runguard.h"
@@ -339,6 +341,31 @@ TEST(SamplerTest, AttributesSamplesToOpenSpans) {
 
   telemetry::ResetSamples();
   EXPECT_EQ(telemetry::SampleCount(), 0u);
+  trace::Disable();
+  trace::Reset();
+}
+
+TEST(SamplerTest, ExitedThreadsLeaveTheSampledSet) {
+  if (!trace::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  trace::Reset();
+  trace::Enable();
+  SetThreadCount(1);  // joins the pool: only this thread's slot is live
+  {
+    MULTICLUST_TRACE_SPAN("telemetry.respawn_main");  // claims that slot
+  }
+  const size_t before = trace::SnapshotOpenSpans().size();
+  // Each SetThreadCount respawns the pool, so every round's workers exit.
+  for (int round = 0; round < 20; ++round) {
+    SetThreadCount(4);
+    ParallelFor(0, 16, 1, [](size_t, size_t) {
+      MULTICLUST_TRACE_SPAN("telemetry.respawn_chunk");
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  }
+  SetThreadCount(1);
+  // The sampler would otherwise tick every exited worker as "(no span)".
+  EXPECT_EQ(trace::SnapshotOpenSpans().size(), before);
+  SetThreadCount(0);
   trace::Disable();
   trace::Reset();
 }
