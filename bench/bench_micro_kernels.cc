@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,46 @@ void BM_EigenSymmetric(benchmark::State& state) {
 }
 // Up to n = 512 so a return of O(n^3)-per-sweep Jacobi cost shows up.
 BENCHMARK(BM_EigenSymmetric)->Range(8, 512)->Complexity();
+
+// The k = 3 eigenpairs the spectral embedding uses, on the same matrices:
+// the reduction alone (~4/3 n^3) against EigenSymmetric's ~8/3 n^3 plus
+// QL rotations over all n rows.
+void BM_TopEigenpairs(benchmark::State& state) {
+  const size_t n = state.range(0);
+  Matrix a = RandomMatrix(n + 4, n, 2);
+  Matrix spd = a.Transpose() * a;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TopEigenpairs(spd, 3));
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_TopEigenpairs)->Range(8, 512)->Complexity();
+
+// The matrix SpectralEmbedding decomposes: D^{-1/2} W D^{-1/2} of a
+// Gaussian affinity over a planted two-view scenario, at n = 1000.
+void BM_TopEigenpairsNjw(benchmark::State& state) {
+  const size_t n = state.range(0);
+  std::vector<ViewSpec> views(2);
+  views[0] = {2, 3, 12.0, 0.8, ""};
+  views[1] = {2, 2, 8.0, 0.8, ""};
+  const Matrix w = GaussianKernelMatrix(MakeMultiView(n, views, 1, 33)->data());
+  std::vector<double> inv_sqrt_deg(n);
+  for (size_t i = 0; i < n; ++i) {
+    double deg = 0.0;
+    for (size_t j = 0; j < n; ++j) deg += i == j ? 0.0 : w.at(i, j);
+    inv_sqrt_deg[i] = 1.0 / std::sqrt(deg);
+  }
+  Matrix norm(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i != j) norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TopEigenpairs(norm, 3));
+  }
+}
+BENCHMARK(BM_TopEigenpairsNjw)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_Svd(benchmark::State& state) {
   const Matrix a = RandomMatrix(state.range(0), state.range(0) / 2, 3);
@@ -348,11 +389,12 @@ int main(int argc, char** argv) {
 
   RecordKernelGflops(&h, h.quick());
 
-  // 2+3+3+1+3+2+4 registered (name, size) combinations — a registration
-  // that silently disappears should fail the diff, not just shrink it.
+  // 2+3+3+1+3+1+3+2+4 registered (name, size) combinations — a
+  // registration that silently disappears should fail the diff, not just
+  // shrink it.
   h.Scalar("benchmarks_recorded", static_cast<double>(reporter.recorded()));
   h.Check("all_microbenchmarks_ran",
-          reporter.recorded() == 18 && reporter.errors() == 0,
-          "all 18 registered micro-benchmark cases must run without error");
+          reporter.recorded() == 22 && reporter.errors() == 0,
+          "all 22 registered micro-benchmark cases must run without error");
   return h.Finish();
 }

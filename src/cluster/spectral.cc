@@ -49,7 +49,7 @@ Result<Matrix> SpectralEmbedding(const Matrix& affinity, size_t k) {
 
   Result<SymmetricEigen> eig_result = [&] {
     MULTICLUST_TRACE_SPAN("cluster.spectral.eigen");
-    return EigenSymmetric(norm);
+    return TopEigenpairs(norm, k);
   }();
   MC_ASSIGN_OR_RETURN(SymmetricEigen eig, std::move(eig_result));
 

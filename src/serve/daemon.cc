@@ -126,16 +126,19 @@ Daemon::~Daemon() {
 
 Status Daemon::AppendLedger(const std::shared_ptr<Job>& job,
                             const std::string& status, int exit_code,
-                            const std::string& note) {
+                            const std::string& note,
+                            uint64_t fingerprint) {
   ledger::RunRecord rec;
   rec.run_id = ledger::GenerateRunId(job->spec.seed);
   rec.tool = "discoverd";
   rec.status = status;
   rec.exit_code = exit_code;
   rec.seed = job->spec.seed;
-  if (job->fingerprint != 0) {
-    rec.fingerprint = FingerprintHex(job->fingerprint);
-  }
+  // job->fingerprint is written under the queue mutex by Finish; only the
+  // worker that called Finish, or a thread holding a job no worker runs,
+  // reads it here.
+  if (fingerprint == 0) fingerprint = job->fingerprint;
+  if (fingerprint != 0) rec.fingerprint = FingerprintHex(fingerprint);
   rec.workload = WorkloadName(job->spec);
   rec.strategy = job->spec.strategy;
   if (status == "ok") rec.objective = job->objective;
@@ -217,7 +220,6 @@ Status Daemon::RecoverJobs() {
       continue;
     }
     job->spec = req->spec;
-    job->resume = true;
     queue_.EnqueueRecovered(job);
     (void)AppendLedger(job, "resumed", 0, "recovered after restart");
     MC_METRIC_COUNT("serve.jobs_recovered", 1);
@@ -402,7 +404,6 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
 
   JobResult result;
   result.fingerprint = out.fingerprint;
-  job->fingerprint = out.fingerprint;  // worker-owned until Finish
 
   if (out.status.ok()) {
     // The report excludes the process-wide metrics/spans snapshots: the
@@ -450,8 +451,8 @@ void Daemon::ExecuteJob(const std::shared_ptr<Job>& job) {
     // place with resume=true instead of failing the job.
     mux_.AbandonJob();
     ++job->resumes;
-    job->resume = true;
-    (void)AppendLedger(job, "resumed", 0, "in-daemon resume after fault");
+    (void)AppendLedger(job, "resumed", 0, "in-daemon resume after fault",
+                       out.fingerprint);
     queue_.EnqueueRecovered(job);
     MC_METRIC_COUNT("serve.jobs_fault_resumed", 1);
     return;

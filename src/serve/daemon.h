@@ -121,10 +121,13 @@ class Daemon {
   Status PersistAccepted(const std::shared_ptr<Job>& job);
   /// Appends one ledger line for `job` with the given serve-lifecycle
   /// status; best-effort on terminal paths (an append failure is logged,
-  /// not fatal — the job still finished).
+  /// not fatal — the job still finished). The record carries `fingerprint`
+  /// when non-zero — a worker's run fingerprint that JobQueue::Finish has
+  /// not published yet (the in-daemon resume path) — and otherwise the
+  /// job's published one.
   Status AppendLedger(const std::shared_ptr<Job>& job,
                       const std::string& status, int exit_code,
-                      const std::string& note);
+                      const std::string& note, uint64_t fingerprint = 0);
   /// Reads the ledger, registers terminal jobs and re-enqueues
   /// non-terminal ones (resume=true).
   Status RecoverJobs();

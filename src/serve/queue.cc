@@ -238,6 +238,7 @@ void JobQueue::RegisterRecovered(const std::shared_ptr<Job>& job) {
 void JobQueue::EnqueueRecovered(const std::shared_ptr<Job>& job) {
   std::lock_guard<std::mutex> lock(mu_);
   job->state = JobState::kQueued;
+  job->resume = true;
   job->published = true;
   job->enqueued_at = std::chrono::steady_clock::now();
   queue_.push_back(job);

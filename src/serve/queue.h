@@ -40,7 +40,7 @@ struct Job {
   std::string id;
   std::string tenant;
   JobSpec spec;
-  bool resume = false;  ///< re-enqueued by the recovery scan
+  bool resume = false;  ///< re-enqueued to resume (set by EnqueueRecovered)
 
   JobState state = JobState::kQueued;
   /// Durability latch: the daemon admits a job BEFORE writing its spool
@@ -205,7 +205,8 @@ class JobQueue {
   /// admission control: it was accepted before the restart, and rejecting
   /// it now would lose an accepted job — the one thing the daemon promises
   /// never happens. May push the queue past max_queue_depth transiently;
-  /// new submits still see a full queue and shed.
+  /// new submits still see a full queue and shed. Sets `job->resume` under
+  /// the queue mutex, so the job restarts from its checkpoint.
   void EnqueueRecovered(const std::shared_ptr<Job>& job);
 
   QueueStats stats() const;

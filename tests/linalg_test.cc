@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
@@ -223,11 +225,27 @@ TEST_P(EigenOracleTest, MatchesJacobiOracle) {
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenOracleTest,
                          ::testing::Values(2, 3, 8, 33, 100));
 
-TEST(EigenOracleTest, RepeatedTopEigenvalueProjector) {
-  // Three disconnected blocks: the normalised affinity D^{-1/2} W D^{-1/2}
-  // has eigenvalue 1 three times, the spectral-clustering case. Only the
-  // top-3 eigenspace is defined, so compare projectors.
-  const std::vector<size_t> blocks = {7, 11, 14};
+// D^{-1/2} W D^{-1/2} for an affinity W with a zero diagonal.
+Matrix NormaliseAffinity(const Matrix& w) {
+  const size_t n = w.rows();
+  std::vector<double> inv_sqrt_deg(n);
+  for (size_t i = 0; i < n; ++i) {
+    double deg = 0.0;
+    for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
+    inv_sqrt_deg[i] = 1.0 / std::sqrt(deg);
+  }
+  Matrix norm(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
+    }
+  }
+  return norm;
+}
+
+// Normalised affinity of disconnected blocks of 1-d Gaussian points: its
+// eigenvalue 1 repeats once per block, the spectral-clustering case.
+Matrix BlockAffinity(const std::vector<size_t>& blocks) {
   size_t n = 0;
   for (size_t b : blocks) n += b;
   Rng rng(77);
@@ -243,18 +261,14 @@ TEST(EigenOracleTest, RepeatedTopEigenvalueProjector) {
     }
     lo += b;
   }
-  std::vector<double> inv_sqrt_deg(n);
-  for (size_t i = 0; i < n; ++i) {
-    double deg = 0.0;
-    for (size_t j = 0; j < n; ++j) deg += w.at(i, j);
-    inv_sqrt_deg[i] = 1.0 / std::sqrt(deg);
-  }
-  Matrix norm(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      norm.at(i, j) = inv_sqrt_deg[i] * w.at(i, j) * inv_sqrt_deg[j];
-    }
-  }
+  return NormaliseAffinity(w);
+}
+
+TEST(EigenOracleTest, RepeatedTopEigenvalueProjector) {
+  // Three disconnected blocks: the normalised affinity has eigenvalue 1
+  // three times. Only the top-3 eigenspace is defined, so compare
+  // projectors.
+  const Matrix norm = BlockAffinity({7, 11, 14});
   auto r = EigenSymmetric(norm);
   auto ref = test::RefEigenJacobi(norm);
   ASSERT_TRUE(r.ok());
@@ -332,6 +346,168 @@ TEST(EigenOracleTest, SpectralLabelsMatchJacobiEmbedding) {
   auto ref = RunKMeans(*embed, km);
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(c->labels, ref->labels);
+}
+
+// ||A||_1, the maximum absolute column sum.
+double OneNorm(const Matrix& a) {
+  double norm = 0.0;
+  for (size_t j = 0; j < a.cols(); ++j) {
+    double col = 0.0;
+    for (size_t i = 0; i < a.rows(); ++i) col += std::fabs(a.at(i, j));
+    norm = std::max(norm, col);
+  }
+  return norm;
+}
+
+// Projector V V^T onto the span of the first k columns of `vectors`.
+Matrix TopProjector(const Matrix& vectors, size_t k) {
+  std::vector<size_t> cols(k);
+  for (size_t j = 0; j < k; ++j) cols[j] = j;
+  const Matrix v = vectors.SelectColumns(cols);
+  return v * v.Transpose();
+}
+
+// TopEigenpairs(a, k) against the QL oracle: the eigenvalues equal
+// EigenSymmetric's first k bit for bit, every pair has a residual within
+// 1e-12 ||A||_1, the vectors are orthonormal within 1e-12, and where the
+// top-k eigenspace is defined (a gap after the k-th eigenvalue) it matches
+// QL's and, for n <= 40, the Jacobi oracle's.
+void ExpectTopEigenpairsMatchOracles(const Matrix& a, size_t k) {
+  SCOPED_TRACE("n=" + std::to_string(a.rows()) + " k=" + std::to_string(k));
+  const size_t n = a.rows();
+  auto top = TopEigenpairs(a, k);
+  auto full = EigenSymmetric(a);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(top->values.size(), k);
+  ASSERT_EQ(top->vectors.rows(), n);
+  ASSERT_EQ(top->vectors.cols(), k);
+  for (size_t j = 0; j < k; ++j) {
+    EXPECT_EQ(top->values[j], full->values[j]) << "j=" << j;
+  }
+  const double a_norm = OneNorm(a);
+  const Matrix av = a * top->vectors;
+  for (size_t j = 0; j < k; ++j) {
+    double residual = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      residual = std::max(residual, std::fabs(av.at(i, j) -
+                                              top->values[j] *
+                                                  top->vectors.at(i, j)));
+    }
+    EXPECT_LE(residual, 1e-12 * a_norm) << "j=" << j;
+  }
+  const Matrix vtv = top->vectors.Transpose() * top->vectors;
+  EXPECT_LE(vtv.MaxAbsDiff(Matrix::Identity(k)), 1e-12);
+
+  const double scale = 1.0 + a_norm;
+  if (k < n && full->values[k - 1] - full->values[k] < 1e-6 * scale) return;
+  EXPECT_LE(TopProjector(top->vectors, k)
+                .MaxAbsDiff(TopProjector(full->vectors, k)),
+            1e-9);
+  if (n > 40) return;
+  auto jacobi = test::RefTopEigenJacobi(a, k);
+  ASSERT_TRUE(jacobi.ok());
+  for (size_t j = 0; j < k; ++j) {
+    EXPECT_NEAR(top->values[j], jacobi->values[j], 1e-10 * scale);
+  }
+  EXPECT_LE(TopProjector(top->vectors, k)
+                .MaxAbsDiff(TopProjector(jacobi->vectors, k)),
+            1e-8);
+}
+
+class TopEigenPropertyTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(TopEigenPropertyTest, MatchesQlAndJacobi) {
+  const size_t n = GetParam();
+  for (const size_t k : {size_t{1}, std::min<size_t>(3, n), n}) {
+    ExpectTopEigenpairsMatchOracles(RandomSpd(n, 100 + n), k);
+    ExpectTopEigenpairsMatchOracles(RandomSymmetric(n, 300 + n), k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, TopEigenPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 33, 200));
+
+TEST(TopEigenTest, NjwAffinities) {
+  // The matrices SpectralEmbedding decomposes: a planted multi-view
+  // scenario and the customer scenario, at the k the pipeline uses.
+  std::vector<ViewSpec> views(2);
+  views[0] = {2, 3, 12.0, 0.8, ""};
+  views[1] = {2, 2, 8.0, 0.8, ""};
+  const Matrix multi =
+      GaussianKernelMatrix(MakeMultiView(150, views, 1, 33)->data(), 0.0);
+  const Matrix customer =
+      GaussianKernelMatrix(MakeCustomerScenario(120, 3)->data());
+  for (const Matrix* w : {&multi, &customer}) {
+    Matrix zero_diag = *w;
+    for (size_t i = 0; i < zero_diag.rows(); ++i) zero_diag.at(i, i) = 0.0;
+    const Matrix norm = NormaliseAffinity(zero_diag);
+    for (const size_t k : {1, 2, 3, 5}) {
+      ExpectTopEigenpairsMatchOracles(norm, k);
+    }
+  }
+}
+
+TEST(TopEigenTest, ZeroAndIdentity) {
+  for (double fill : {0.0, 1.0}) {
+    const Matrix a = Matrix::Identity(6) * fill;
+    for (size_t k = 1; k <= 6; ++k) {
+      auto r = TopEigenpairs(a, k);
+      ASSERT_TRUE(r.ok()) << "fill=" << fill << " k=" << k << " "
+                          << r.status().ToString();
+      for (double v : r->values) EXPECT_EQ(v, fill);
+      ExpectTopEigenpairsMatchOracles(a, k);
+    }
+  }
+}
+
+TEST(TopEigenTest, RepeatedTopEigenvalue) {
+  // Eigenvalue 1 three times: only the top-3 eigenspace is defined.
+  const Matrix norm = BlockAffinity({7, 11, 14});
+  for (const size_t k : {1, 2, 3, 4}) ExpectTopEigenpairsMatchOracles(norm, k);
+}
+
+TEST(TopEigenTest, DuplicatedDiagonalBlocks) {
+  // diag(B, B): every eigenvalue is exactly repeated, and the reduction
+  // leaves a zero coupling between the blocks.
+  const Matrix b = RandomSymmetric(6, 41);
+  Matrix a(12, 12);
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = 0; j < 6; ++j) {
+      a.at(i, j) = b.at(i, j);
+      a.at(i + 6, j + 6) = b.at(i, j);
+    }
+  }
+  for (const size_t k : {1, 2, 3, 4, 12}) ExpectTopEigenpairsMatchOracles(a, k);
+}
+
+TEST(TopEigenTest, SignIsDeterministic) {
+  auto r = TopEigenpairs(RandomSymmetric(20, 5), 4);
+  ASSERT_TRUE(r.ok());
+  for (size_t j = 0; j < 4; ++j) {
+    size_t top = 0;
+    for (size_t i = 1; i < 20; ++i) {
+      if (std::fabs(r->vectors.at(i, j)) > std::fabs(r->vectors.at(top, j))) {
+        top = i;
+      }
+    }
+    EXPECT_GT(r->vectors.at(top, j), 0.0) << "j=" << j;
+  }
+}
+
+TEST(TopEigenTest, RejectsBadArguments) {
+  const Matrix a = RandomSymmetric(4, 9);
+  EXPECT_EQ(TopEigenpairs(a, 0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(TopEigenpairs(a, 5).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(TopEigenpairs(Matrix(3, 4), 1).status().code(),
+            StatusCode::kInvalidArgument);
+  Matrix bad = a;
+  bad.at(1, 2) = std::nan("");
+  EXPECT_EQ(TopEigenpairs(bad, 2).status().code(),
+            StatusCode::kComputationError);
+  bad.at(1, 2) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(TopEigenpairs(bad, 2).status().code(),
+            StatusCode::kComputationError);
 }
 
 class SvdPropertyTest

@@ -18,7 +18,8 @@ namespace test {
 /// implicit QL. It plays the role kernels::ref plays for the SIMD layer:
 /// slow (O(n^3) per sweep, ~10 sweeps) but simple enough to trust, so
 /// tests and the A2 ablation compare EigenSymmetric against it. Same
-/// contract: values descending, eigenvectors as columns.
+/// contract: values descending, eigenvectors as columns. The QL solver in
+/// turn is the oracle for TopEigenpairs.
 inline Result<SymmetricEigen> RefEigenJacobi(const Matrix& a) {
   constexpr double tol = 1e-12;
   constexpr int max_sweeps = 64;
@@ -99,15 +100,32 @@ inline Result<SymmetricEigen> RefEigenJacobi(const Matrix& a) {
   return out;
 }
 
+/// RefEigenJacobi cut to its k largest eigenpairs: the oracle with
+/// TopEigenpairs' contract.
+inline Result<SymmetricEigen> RefTopEigenJacobi(const Matrix& a, size_t k) {
+  MC_ASSIGN_OR_RETURN(SymmetricEigen full, RefEigenJacobi(a));
+  if (k == 0 || k > full.values.size()) {
+    return Status::InvalidArgument("RefTopEigenJacobi: need 0 < k <= n");
+  }
+  SymmetricEigen out;
+  out.values.assign(full.values.begin(), full.values.begin() + k);
+  out.vectors = Matrix(a.rows(), k);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < k; ++j) out.vectors.at(i, j) = full.vectors.at(i, j);
+  }
+  return out;
+}
+
 /// Ng-Jordan-Weiss embedding as serial loops: the degree normalisation and
 /// row normalisation SpectralEmbedding (cluster/spectral.h) replaced in
-/// spectral, mv-spectral and A2, around `eigen` (the Jacobi oracle by
-/// default). The diagonal of `affinity` is treated as zero. With
-/// `eigen = EigenSymmetric` the result must equal SpectralEmbedding bit
-/// for bit.
+/// spectral, mv-spectral and A2, around `eigen`, a top-k solver (the Jacobi
+/// oracle by default). The diagonal of `affinity` is treated as zero. With
+/// `eigen = TopEigenpairs` the result must equal SpectralEmbedding bit for
+/// bit.
 inline Result<Matrix> RefSpectralEmbedding(
     const Matrix& affinity, size_t k,
-    Result<SymmetricEigen> (*eigen)(const Matrix&) = RefEigenJacobi) {
+    Result<SymmetricEigen> (*eigen)(const Matrix&, size_t) =
+        RefTopEigenJacobi) {
   const size_t n = affinity.rows();
   std::vector<double> inv_sqrt_deg(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
@@ -125,7 +143,7 @@ inline Result<Matrix> RefSpectralEmbedding(
       }
     }
   }
-  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, eigen(norm));
+  MC_ASSIGN_OR_RETURN(SymmetricEigen eig, eigen(norm, k));
   Matrix embed(n, k);
   for (size_t i = 0; i < n; ++i) {
     double norm_sq = 0.0;
